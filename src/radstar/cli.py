@@ -145,9 +145,7 @@ def cmd_verify(args, out) -> int:
         rep = verify.verify_cell(spec, t, tol=args.tol,
                                  n_samples=args.n_samples)
         reports.append(rep.to_dict())
-        if not rep.scan.inside_pass:
-            failed = True
-        if rep.scan.outside_gated and not rep.scan.outside_pass:
+        if not (rep.scan.inside_pass and rep.scan.outside_pass):
             failed = True
         sh = rep.sharpness
         if sh.applicable and args.b == -1.0 and not sh.ok:

@@ -29,10 +29,6 @@ class NoRootError(RuntimeError):
         self.h_near_1 = h_near_1
 
 
-class IndeterminateRegionError(RuntimeError):
-    """A membership query lies too close to a sampled boundary to classify."""
-
-
 class EvaluationError(ArithmeticError):
     """A rational expression was evaluated at (numerically) a pole."""
 

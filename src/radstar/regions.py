@@ -4,16 +4,11 @@ thresholds for the twelve target image domains."""
 from __future__ import annotations
 
 import cmath
-import enum
-import functools
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (Family, IndeterminateRegionError, ParameterError,
-                   TargetSpec)
+from .core import Family, ParameterError, TargetSpec
 
 SQRT2 = math.sqrt(2.0)
 E = math.e
@@ -22,14 +17,8 @@ SIN1 = math.sin(1.0)
 # Truncation radius for unbounded boundaries (half-plane, sector, parabola).
 _TRUNC = 4.0
 
-_BOUNDARY_EPS = 1e-9
-_WINDING_TOL = 1e-3
-_WINDING_N = 4096
-
-
-class MembershipKind(enum.Enum):
-    ALGEBRAIC = "algebraic"
-    WINDING = "winding"
+# Largest sample count region_boundary and the containment scan accept.
+MAX_SAMPLES = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +59,9 @@ _C_RL = 2.0 * (SQRT2 - 1.0)
 
 
 def _gen_rl(z):
-    # Exposed for numerical comparison with the RL membership predicate.
+    # The image of the unit disk is the left half of the shifted lemniscate,
+    # |(w - sqrt2)^2 - 1| < 1 with Re w < sqrt2 (Mendiratta, Nagpal and
+    # Ravichandran, Int. J. Math. 25 (2014) 1450090).
     return SQRT2 - (SQRT2 - 1.0) * np.sqrt((1.0 - z) / (1.0 + _C_RL * z))
 
 
@@ -85,17 +76,9 @@ GENERATORS: dict = {
     Family.RATIONAL_RL: _gen_rl,
 }
 
-_WINDING_FAMILIES = (Family.SINE, Family.RATIONAL_R)
-
-
-def membership_kind(family: Family) -> MembershipKind:
-    if family in _WINDING_FAMILIES:
-        return MembershipKind.WINDING
-    return MembershipKind.ALGEBRAIC
-
 
 # ---------------------------------------------------------------------------
-# Algebraic predicates (vectorized; True = interior)
+# Membership predicates (vectorized; True = interior)
 
 def cardioid_quartic(x, y):
     """Boundary polynomial of the cardioid domain; negative inside
@@ -109,7 +92,9 @@ def nephroid_sextic(u, v):
     return (u * u - 2.0 * u + v * v + 5.0 / 9.0) ** 3 - 4.0 * v * v / 3.0
 
 
-def _algebraic_mask(t: TargetSpec, w: np.ndarray) -> np.ndarray:
+def membership_mask(t: TargetSpec, ws) -> np.ndarray:
+    """Exact interior test of the target domain for each point of ws."""
+    w = np.asarray(ws, dtype=complex)
     f = t.family
     if f is Family.STARLIKE_ORDER:
         return w.real > t.alpha
@@ -126,8 +111,23 @@ def _algebraic_mask(t: TargetSpec, w: np.ndarray) -> np.ndarray:
         return cardioid_quartic(w.real, w.imag) < 0.0
     if f is Family.LUNE:
         return np.abs(w * w - 1.0) < 2.0 * np.abs(w)
+    if f is Family.SINE:
+        # sin is univalent on the unit disk, whose image meets the real axis
+        # only inside (-1, 1), away from the branch cuts of arcsin
+        return np.abs(np.arcsin(w - 1.0)) < 1.0
+    if f is Family.RATIONAL_R:
+        # preimages of w under the generator solve
+        # z^2 + K w z - K^2 (w - 1) = 0; the smaller one lies in the disk
+        b = _K * w
+        s = np.sqrt(b * b + 4.0 * _K * _K * (w - 1.0))
+        return np.minimum(np.abs(s - b), np.abs(s + b)) < 2.0
     if f is Family.RATIONAL_RL:
-        return np.abs(w * w - SQRT2 * w + 1.0) < 1.0
+        # |u^2 - 1| < 1 with u = w - sqrt2, expanded so that points near the
+        # node u = 0 do not round onto the boundary; Re u < 0 picks the left
+        # loop, the image of the generator
+        u = w - SQRT2
+        a = u.real * u.real + u.imag * u.imag
+        return (a * a < 2.0 * (u * u).real) & (u.real < 0.0)
     if f is Family.STRONGLY_STARLIKE:
         half = 0.5 * math.pi * t.gamma
         return (w != 0.0) & (np.abs(np.angle(w)) < half)
@@ -139,7 +139,12 @@ def _algebraic_mask(t: TargetSpec, w: np.ndarray) -> np.ndarray:
             mask = np.abs(np.log(u)) < 1.0
         bad = (w == 2.0) | (u == 0.0)
         return np.where(bad, False, mask)
-    raise ParameterError(f"no algebraic predicate for {f}")
+    raise ParameterError(f"no membership predicate for {f}")
+
+
+def region_contains(t: TargetSpec, w: complex) -> bool:
+    """True iff w is interior to the target domain."""
+    return bool(membership_mask(t, complex(w)))
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +235,8 @@ def region_boundary(t: TargetSpec, n: int) -> np.ndarray:
     Unbounded boundaries are truncated to |w| <= 4 and closed with a cap."""
     if n < 4:
         raise ParameterError(f"n={n} too small for a closed boundary")
+    if n > MAX_SAMPLES:
+        raise ParameterError(f"n={n} above the limit of {MAX_SAMPLES} samples")
     f = t.family
     gen = GENERATORS.get(f)
     if gen is not None:
@@ -243,83 +250,6 @@ def region_boundary(t: TargetSpec, n: int) -> np.ndarray:
     if f is Family.LUNE:
         return _lune_boundary(n)
     raise ParameterError(f"no boundary parametrization for {f}")
-
-
-# ---------------------------------------------------------------------------
-# Winding-number membership
-
-def _winding_sum(boundary: np.ndarray, w: complex) -> float:
-    v = np.asarray(boundary) - w
-    ang = np.angle(v)
-    d = np.diff(ang)
-    d = (d + math.pi) % (2.0 * math.pi) - math.pi
-    total = float(np.sum(d))
-    if abs(boundary[0] - boundary[-1]) > 1e-12:
-        dlast = math.remainder(np.angle(v[0]) - np.angle(v[-1]), 2.0 * math.pi)
-        total += dlast
-    return total
-
-
-def winding_contains(boundary, w: complex) -> bool:
-    """True iff the total argument change of the closed sampled curve about w
-    is 2*pi (within 1e-3 of a full turn)."""
-    boundary = np.asarray(boundary, dtype=complex)
-    if np.min(np.abs(boundary - w)) < _BOUNDARY_EPS:
-        raise IndeterminateRegionError(f"point {w} lies on a boundary sample")
-    total = _winding_sum(boundary, w)
-    two_pi = 2.0 * math.pi
-    if abs(total - two_pi) <= _WINDING_TOL:
-        return True
-    if abs(total) <= _WINDING_TOL:
-        return False
-    raise IndeterminateRegionError(
-        f"winding sum {total:.6f} resolves to neither 0 nor 2*pi for {w}")
-
-
-@functools.lru_cache(maxsize=None)
-def _cached_generator_boundary(family: Family, n: int):
-    gen = GENERATORS[family]
-    pts = gen(_anchored_circle(n))
-    pts.setflags(write=False)
-    return pts
-
-
-def region_contains(t: TargetSpec, w: complex) -> bool:
-    """True iff w is interior to the target domain."""
-    w = complex(w)
-    if membership_kind(t.family) is MembershipKind.ALGEBRAIC:
-        return bool(_algebraic_mask(t, np.asarray(w)))
-    boundary = _cached_generator_boundary(t.family, _WINDING_N)
-    try:
-        return winding_contains(boundary, w)
-    except IndeterminateRegionError:
-        if np.min(np.abs(boundary - w)) < _BOUNDARY_EPS:
-            raise
-        # one refinement doubling, then give up
-        return winding_contains(
-            _cached_generator_boundary(t.family, 2 * _WINDING_N), w)
-
-
-def membership_mask(t: TargetSpec, ws: np.ndarray) -> np.ndarray:
-    """Vectorized region_contains for scan workloads."""
-    ws = np.asarray(ws, dtype=complex)
-    if membership_kind(t.family) is MembershipKind.ALGEBRAIC:
-        return _algebraic_mask(t, ws)
-    boundary = _cached_generator_boundary(t.family, _WINDING_N)
-    v = boundary[np.newaxis, :] - ws[:, np.newaxis]
-    if np.min(np.abs(v)) < _BOUNDARY_EPS:
-        raise IndeterminateRegionError("scan point on a boundary sample")
-    d = np.diff(np.angle(v), axis=1)
-    d = (d + math.pi) % (2.0 * math.pi) - math.pi
-    total = np.sum(d, axis=1)
-    two_pi = 2.0 * math.pi
-    inside = np.abs(total - two_pi) <= _WINDING_TOL
-    outside = np.abs(total) <= _WINDING_TOL
-    undecided = ~(inside | outside)
-    if np.any(undecided):
-        for i in np.flatnonzero(undecided):
-            inside[i] = region_contains(t, complex(ws[i]))
-    return inside
 
 
 # ---------------------------------------------------------------------------

@@ -155,15 +155,22 @@ def assemble_condition(spec: ClassSpec, t: TargetSpec,
                            extrapolation=extrapolation)
 
 
+def _no_root(cond: RadiusCondition, message: str, h0: float) -> NoRootError:
+    return NoRootError(message, h0, cond(1.0 - 1e-9))
+
+
 def smallest_root_in_01(cond: RadiusCondition,
                         tol: float = _DEFAULT_TOL) -> RadiusResult:
     """Locate the least r in (0, 1) with h(r) = 0 by a 1e-3 scan for the
-    first sign change followed by bisection to width <= tol."""
+    first sign change followed by bisection to width <= tol. A NaN value of h
+    is neither negative nor a sign change: it raises NoRootError."""
     if not (1e-15 <= tol <= 1e-6):
         raise ParameterError(f"tol={tol!r} outside [1e-15, 1e-6]")
     h0 = cond(0.0)
-    if h0 >= 0.0:
-        raise ParameterError(f"condition is nonnegative at r=0 (h(0)={h0!r})")
+    if not h0 < 0.0:
+        if h0 >= 0.0:
+            raise ParameterError(f"condition is nonnegative at r=0 (h(0)={h0!r})")
+        raise _no_root(cond, "condition is NaN at r=0.0", h0)
 
     lo, hlo = 0.0, h0
     hi = None
@@ -171,14 +178,15 @@ def smallest_root_in_01(cond: RadiusCondition,
     while k * _SCAN_STEP < 1.0:
         r = k * _SCAN_STEP
         hr = cond(r)
-        if hr >= 0.0:
+        if not hr < 0.0:
+            if hr != hr:
+                raise _no_root(cond, f"condition is NaN at r={r!r}", h0)
             lo, hi, hhi = (k - 1) * _SCAN_STEP, r, hr
             break
         lo, hlo = r, hr
         k += 1
     if hi is None:
-        h1 = cond(1.0 - 1e-9)
-        raise NoRootError("no sign change in (0, 1)", h0, h1)
+        raise _no_root(cond, "no sign change in (0, 1)", h0)
 
     iterations = 0
     while hi - lo > tol:
@@ -186,8 +194,10 @@ def smallest_root_in_01(cond: RadiusCondition,
         hm = cond(mid)
         if hm < 0.0:
             lo = mid
-        else:
+        elif hm >= 0.0:
             hi = mid
+        else:
+            raise _no_root(cond, f"condition is NaN at r={mid!r}", h0)
         iterations += 1
     rho = 0.5 * (lo + hi)
     return RadiusResult(rho=rho, residual=abs(cond(rho)), bracket=(lo, hi),

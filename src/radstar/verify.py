@@ -1,6 +1,8 @@
-"""Independent oracles: disk scans against the exact regions, boundary-contact
-(sharpness) checks at the designated witness functions, and variant adjudication
-for the two internally inconsistent first-class conditions."""
+"""Independent oracles: disk scans against the exact membership predicate of
+each target domain (both the inside and the just-outside scan are gated for
+every family), boundary-contact (sharpness) checks at the designated witness
+functions, and variant adjudication for the two internally inconsistent
+first-class conditions."""
 
 from __future__ import annotations
 
@@ -15,31 +17,18 @@ from . import bounds, regions, solver
 from .core import (ClassId, ClassSpec, Family, ParameterError, RadiusResult,
                    TargetSpec, Variant)
 from .extremal import ExtremalId, log_deriv
-from .regions import SIN1, SQRT2
+from .regions import MAX_SAMPLES, SIN1, SQRT2
 
 _SHARPNESS_TOL = 1e-6
 _NEPHROID_ADJ_TOL = 1e-4
-
-# Families where the containment threshold equals the exact distance from the
-# disk center to the region boundary, so the just-outside criterion is gated.
-# Winding-based families (sine, rational) are tolerance-limited and the RL
-# threshold is strictly conservative for the RL membership predicate (it is
-# exact for the RL generator image, a strictly smaller region); those are
-# reported but not gated.
-EXACT_MEMBERSHIP = frozenset([
-    Family.STARLIKE_ORDER, Family.STRONGLY_STARLIKE, Family.PARABOLIC,
-    Family.LEMNISCATE, Family.LUNE, Family.EXPONENTIAL, Family.SIGMOID_SG,
-    Family.NEPHROID, Family.CARDIOID,
-])
 
 
 @dataclass(frozen=True)
 class ScanReport:
     inside_pass: bool
     inside_witness: Optional[complex]
-    outside_pass: Optional[bool]
+    outside_pass: bool
     outside_witness: Optional[complex]
-    outside_gated: bool
     r_inside: float
     r_outside: float
 
@@ -84,7 +73,7 @@ class VerificationReport:
             },
             "just_outside_scan": {
                 "pass": sc.outside_pass,
-                "gated": sc.outside_gated,
+                "gated": True,
                 "r": sc.r_outside,
                 "witness": _cstr(sc.outside_witness),
             },
@@ -113,38 +102,30 @@ def _circle_points(center: float, radius: float, n: int) -> np.ndarray:
 def containment_scan(spec: ClassSpec, t: TargetSpec, rho: float,
                      n_samples: int = 512) -> ScanReport:
     """Criterion 1: the disk bound just inside rho stays in the exact region.
-    Criterion 2: just beyond rho a sampled disk point escapes (gated only for
-    exact-membership families)."""
+    Criterion 2: just beyond rho a sampled disk point escapes. Both are
+    gated for every family."""
     if not (0.0 < rho < 1.0):
         raise ParameterError(f"rho={rho!r} outside (0, 1)")
-    if n_samples < 64:
-        raise ParameterError("n_samples must be at least 64")
+    if not (64 <= n_samples <= MAX_SAMPLES):
+        raise ParameterError(
+            f"n_samples={n_samples} outside [64, {MAX_SAMPLES}]")
 
     r1 = 0.99 * rho
     d1 = bounds.disk(spec, r1)
     pts1 = _circle_points(d1.center, d1.radius, n_samples)
-    try:
-        mask1 = regions.membership_mask(t, pts1)
-    except regions.IndeterminateRegionError:
-        pts1 = _circle_points(d1.center, d1.radius, n_samples + 1)[:-1]
-        mask1 = regions.membership_mask(t, pts1)
+    mask1 = regions.membership_mask(t, pts1)
     inside_pass = bool(np.all(mask1))
     inside_witness = None if inside_pass else complex(pts1[np.argmin(mask1)])
 
     r2 = min(1.02 * rho, 0.5 * (1.0 + rho))
     d2 = bounds.disk(spec, r2)
     pts2 = _circle_points(d2.center, d2.radius, n_samples)
-    try:
-        mask2 = regions.membership_mask(t, pts2)
-    except regions.IndeterminateRegionError:
-        pts2 = _circle_points(d2.center, d2.radius, n_samples + 1)[:-1]
-        mask2 = regions.membership_mask(t, pts2)
+    mask2 = regions.membership_mask(t, pts2)
     outside_pass = bool(np.any(~mask2))
     outside_witness = complex(pts2[np.argmin(mask2)]) if outside_pass else None
 
     return ScanReport(inside_pass=inside_pass, inside_witness=inside_witness,
                       outside_pass=outside_pass, outside_witness=outside_witness,
-                      outside_gated=t.family in EXACT_MEMBERSHIP,
                       r_inside=r1, r_outside=r2)
 
 
@@ -234,7 +215,7 @@ class VariantOutcome:
     variant: Variant
     rho: float
     inside_pass: bool
-    outside_pass: Optional[bool]
+    outside_pass: bool
     sharpness_value: Optional[float]
     consistent: bool
 

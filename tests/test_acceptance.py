@@ -79,15 +79,11 @@ def test_criterion_4_exact_region_containment():
     for spec, t in _cells():
         rho = solver.compute_radius(spec, t).rho
         rep = verify.containment_scan(spec, t, rho, n_samples=512)
-        if not rep.inside_pass:
+        # every family has an exact membership predicate and a threshold
+        # equal to the distance to its boundary, so both scans are gated
+        if not (rep.inside_pass and rep.outside_pass):
             ok = False
-        # the just-outside escape is gated wherever the threshold equals the
-        # exact boundary distance; the RL threshold is strictly conservative
-        # for its membership predicate (it is exact against the generator
-        # image instead, which test_verify pins down), so RL is exempt here
-        if rep.outside_gated and not rep.outside_pass:
-            ok = False
-    _report("4 containment scans (inside all cells, just-outside gated)", ok)
+    _report("4 containment scans (inside and just-outside, all cells gated)", ok)
 
 
 def test_criterion_5_sharpness_at_extreme_b():

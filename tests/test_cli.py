@@ -192,6 +192,16 @@ def test_boundary_rows():
                for r in rows[1:])
 
 
+def test_oversized_sample_counts_exit_code(capsys):
+    code, out, err = _main(["boundary", "--target", "cardioid",
+                            "--n", "1000000000"], capsys)
+    assert code == 2 and out == "" and "1000000" in err
+    code, out, err = _main(["verify", "--class", "g1", "--b", "-1",
+                            "--targets", "sine", "--n-samples", "1000000000"],
+                           capsys)
+    assert code == 2 and out == "" and "n_samples" in err
+
+
 def test_boundary_theta_matches_samples():
     code, out = _run(["boundary", "--target", "nephroid", "--n", "16"])
     rows = list(csv.reader(io.StringIO(out)))[1:]

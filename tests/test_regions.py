@@ -7,18 +7,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radstar import regions
-from radstar.core import (Family, IndeterminateRegionError, ParameterError,
-                          TargetSpec, default_target)
+from radstar.core import Family, ParameterError, TargetSpec, default_target
 from radstar.regions import (E, SIN1, SQRT2, boundary_parameters,
                              cardioid_quartic, containment_threshold,
-                             membership_kind, membership_mask, nephroid_sextic,
-                             region_boundary, region_contains, winding_contains)
+                             membership_mask, nephroid_sextic, region_boundary,
+                             region_contains)
+from winding_oracle import IndeterminateWindingError, winding_contains
 
 ALL_TARGETS = [default_target(f) for f in Family]
 
 
 # ---------------------------------------------------------------------------
-# Algebraic predicates
+# Membership predicates
+
+def test_membership_mask_covers_every_family():
+    # one exact predicate per family, vectorized, no family left to a fallback
+    for t in ALL_TARGETS:
+        mask = membership_mask(t, [1.0, 0.0, 1.0 + 1e-3j])
+        assert mask.dtype == bool and mask.shape == (3,), t.label()
+        assert mask.tolist() == [True, False, True], t.label()
+
 
 def test_point_one_inside_every_region():
     for t in ALL_TARGETS:
@@ -92,11 +100,15 @@ def test_lune_membership():
 def test_rl_membership():
     t = default_target(Family.RATIONAL_RL)
     assert region_contains(t, 1.0)
-    # |w^2 - sqrt(2) w + 1| = 1 meets the real axis at w = 0 and w = sqrt(2)
+    # the left loop of |(w - sqrt(2))^2 - 1| = 1 meets the real axis at
+    # w = 0 and at its node w = sqrt(2)
     assert not region_contains(t, SQRT2 + 1e-9)
     assert region_contains(t, SQRT2 - 1e-9)
     assert region_contains(t, 1e-6)
     assert not region_contains(t, -1e-6)
+    # inside |w^2 - sqrt(2) w + 1| < 1 but outside the generator image
+    for w in (1.0 + 0.4j, 0.7 + 0.5j, 1.2 + 0.3j):
+        assert not region_contains(t, w), w
 
 
 def test_strongly_starlike_membership():
@@ -129,13 +141,7 @@ def test_sigmoid_membership():
 
 
 # ---------------------------------------------------------------------------
-# Winding membership
-
-def test_membership_kind_split():
-    assert membership_kind(Family.SINE) is regions.MembershipKind.WINDING
-    assert membership_kind(Family.RATIONAL_R) is regions.MembershipKind.WINDING
-    assert membership_kind(Family.CARDIOID) is regions.MembershipKind.ALGEBRAIC
-
+# Winding-number oracle
 
 def test_winding_unit_circle():
     th = np.linspace(0.0, 2.0 * math.pi, 257)
@@ -143,7 +149,7 @@ def test_winding_unit_circle():
     assert winding_contains(circ, 0.0j)
     assert winding_contains(circ, 0.5 + 0.3j)
     assert not winding_contains(circ, 1.5)
-    with pytest.raises(IndeterminateRegionError):
+    with pytest.raises(IndeterminateWindingError):
         winding_contains(circ, complex(circ[10]))
 
 
@@ -186,11 +192,12 @@ def test_membership_mask_matches_scalar():
 
 
 def test_algebraic_generator_consistency():
-    # Families with both an algebraic predicate and a circle-image generator:
-    # random points classified identically by predicate and winding number.
+    # Families with a circle-image generator: random points classified
+    # identically by the membership predicate and the winding number.
     rng = np.random.default_rng(20240824)
     for fam in (Family.CARDIOID, Family.NEPHROID, Family.LEMNISCATE,
-                Family.EXPONENTIAL, Family.SIGMOID_SG):
+                Family.EXPONENTIAL, Family.SIGMOID_SG, Family.SINE,
+                Family.RATIONAL_R, Family.RATIONAL_RL):
         t = default_target(fam)
         gen = regions.GENERATORS[fam]
         boundary = gen(regions._anchored_circle(4096))
@@ -202,7 +209,7 @@ def test_algebraic_generator_consistency():
                 continue  # too near the sampled boundary to trust either side
             try:
                 wind = winding_contains(boundary, w)
-            except IndeterminateRegionError:
+            except IndeterminateWindingError:
                 continue
             assert region_contains(t, w) == wind, (fam, w)
             n_checked += 1
@@ -222,6 +229,8 @@ def test_boundary_closed_for_all_families():
 def test_boundary_small_n():
     with pytest.raises(ParameterError):
         region_boundary(default_target(Family.CARDIOID), 3)
+    with pytest.raises(ParameterError):
+        region_boundary(default_target(Family.CARDIOID), 1_000_001)
     pts = region_boundary(default_target(Family.CARDIOID), 8)
     assert len(pts) == 8
 

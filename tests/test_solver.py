@@ -157,6 +157,27 @@ def test_no_root_raises():
     assert ei.value.h_near_1 < 0.0
 
 
+def _composite_condition(h):
+    return RadiusCondition(ConditionKind.COMPOSITE, Variant.CENTER_CORRECTED,
+                           evaluator=h)
+
+
+def test_nan_condition_raises():
+    # -1 below 0.3, NaN on [0.3, 0.6), +1 above: NaN must not pass the scan
+    # as negative and report the edge of the NaN stretch as a root
+    def h(r):
+        return -1.0 if r < 0.3 else (math.nan if r < 0.6 else 1.0)
+    with pytest.raises(NoRootError, match="NaN at r=0.3"):
+        smallest_root_in_01(_composite_condition(h))
+    # NaN inside the bracket found by the scan stops the bisection
+    with pytest.raises(NoRootError, match=r"NaN at r=0\.010[45]"):
+        smallest_root_in_01(_composite_condition(
+            lambda r: -1.0 if r < 0.0102 else (math.nan if r < 0.0108 else 1.0)))
+    # NaN at the origin is neither negative nor a parameter error
+    with pytest.raises(NoRootError, match="NaN at r=0.0"):
+        smallest_root_in_01(_composite_condition(lambda r: math.nan))
+
+
 def test_nonnegative_at_origin_rejected():
     with pytest.raises(ParameterError):
         smallest_root_in_01(_poly_condition([0.0, 1.0]))

@@ -4,14 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from radstar import regions, solver, verify
+from radstar import cli, regions, solver, verify
 from radstar.core import (ClassId, Family, ParameterError, TargetSpec, Variant,
                           class_from_coeff_mag, default_target, make_class)
 from radstar.extremal import ExtremalId
 from radstar.regions import SQRT2
-from radstar.verify import (EXACT_MEMBERSHIP, adjudicate_variant,
-                            class_membership_check, containment_scan,
-                            sharpness_check, verify_cell)
+from radstar.verify import (adjudicate_variant, class_membership_check,
+                            containment_scan, sharpness_check, verify_cell)
 
 
 def test_scan_validates_inputs():
@@ -23,6 +22,8 @@ def test_scan_validates_inputs():
         containment_scan(spec, t, 1.0)
     with pytest.raises(ParameterError):
         containment_scan(spec, t, 0.2, n_samples=32)
+    with pytest.raises(ParameterError):
+        containment_scan(spec, t, 0.2, n_samples=1_000_001)
 
 
 def test_scan_passes_at_computed_radius():
@@ -32,8 +33,7 @@ def test_scan_passes_at_computed_radius():
         rho = solver.compute_radius(spec, t).rho
         rep = containment_scan(spec, t, rho)
         assert rep.inside_pass, t.label()
-        if rep.outside_gated:
-            assert rep.outside_pass
+        assert rep.outside_pass, t.label()
 
 
 def test_scan_fails_for_inflated_radius():
@@ -46,17 +46,22 @@ def test_scan_fails_for_inflated_radius():
     assert not regions.region_contains(t, rep.inside_witness)
 
 
-def test_gating_reflects_threshold_tightness():
-    assert Family.STARLIKE_ORDER in EXACT_MEMBERSHIP
-    assert Family.RATIONAL_RL not in EXACT_MEMBERSHIP
-    assert Family.SINE not in EXACT_MEMBERSHIP
-    assert Family.CARDIOID in EXACT_MEMBERSHIP
+def test_just_outside_scan_gated_for_every_family(monkeypatch, capsys):
+    # a scan that never escapes fails `radstar verify` whatever the family
+    monkeypatch.setattr(regions, "membership_mask",
+                        lambda t, ws: np.ones(len(ws), dtype=bool))
+    for t in solver.supported_targets(ClassId.G1):
+        assert cli.main(["verify", "--class", "g1", "--b", "-1",
+                         "--targets", t.label()]) == 1, t.label()
+        (rep,) = json.loads(capsys.readouterr().out)
+        assert rep["inside_scan"]["pass"] is True
+        assert rep["just_outside_scan"]["pass"] is False
+        assert rep["just_outside_scan"]["gated"] is True
 
 
 def test_rl_threshold_exact_for_generator_image():
     # the composite threshold equals the distance from the center to the image
-    # of the unit circle under the generator attached to this family, even
-    # though it under-fills the algebraic predicate region
+    # of the unit circle under the generator attached to this family
     boundary = regions.GENERATORS[Family.RATIONAL_RL](
         regions._anchored_circle(200001))
     t = default_target(Family.RATIONAL_RL)
@@ -66,29 +71,27 @@ def test_rl_threshold_exact_for_generator_image():
         assert thr == pytest.approx(dist, abs=1e-5), c
 
 
-def test_rl_threshold_conservative_for_predicate():
-    # distance from the center to the predicate curve |w^2 - sqrt2 w + 1| = 1
-    # exceeds the threshold strictly away from the degenerate endpoints
+def test_rl_threshold_exact_for_predicate():
+    # the distance from the center to the boundary of the membership
+    # predicate, found by bisection along rays, equals the threshold
     t = default_target(Family.RATIONAL_RL)
     phis = np.linspace(0.0, 2.0 * math.pi, 20001)
     for c in (1.05, 1.15, 1.25):
         thr = regions.containment_threshold(t, c)
-        # bisect along rays to find the predicate boundary
         dmin = np.inf
         for phi in phis[::100]:
+            ray = np.exp(1j * phi)
             lo, hi = 0.0, 3.0
-            f = lambda d: abs((c + d * np.exp(1j * phi)) ** 2
-                              - SQRT2 * (c + d * np.exp(1j * phi)) + 1.0) - 1.0
-            if f(hi) < 0:
+            if regions.region_contains(t, c + hi * ray):
                 continue
             for _ in range(60):
                 mid = 0.5 * (lo + hi)
-                if f(mid) < 0.0:
+                if regions.region_contains(t, c + mid * ray):
                     lo = mid
                 else:
                     hi = mid
             dmin = min(dmin, lo)
-        assert dmin > thr + 0.02, c
+        assert thr - 1e-12 <= dmin <= thr + 1e-4, c
 
 
 def test_sharpness_applicable_map():
