@@ -162,7 +162,7 @@ def cmd_sharpness(args, out) -> int:
                                  args.gamma, extended=False)
     reports = []
     for t in targets:
-        res = solver.compute_radius(spec, t)
+        res = solver.compute_radius(spec, t, tol=args.tol)
         sh = verify.sharpness_check(spec, t, res.rho)
         reports.append({
             "class": class_id.value, "b": _num(spec.b),

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import enum
-import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Optional, Tuple
 
 
 class ParameterError(ValueError):
@@ -181,9 +180,6 @@ class RadiusResult:
     variant: Variant
     iterations: int
     extrapolation: bool = False
-
-
-ALL_FAMILIES: Tuple[Family, ...] = tuple(Family)
 
 
 def default_target(family: Family, alpha: float = 0.0,

@@ -7,7 +7,7 @@ import enum
 from fractions import Fraction
 from typing import List, Sequence, Union
 
-from .core import ClassId, EvaluationError, ParameterError
+from .core import EvaluationError, ParameterError
 
 _POLE_EPS = 1e-300
 

@@ -1,14 +1,18 @@
-"""Membership predicates, boundary parametrizations and disk-containment
-thresholds for the twelve target image domains."""
+"""The twelve target image domains: one FamilyDef per family holds its exact
+membership predicate, its boundary, its disk-containment threshold and its
+boundary-contact (sharpness) data."""
 
 from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from .core import Family, ParameterError, TargetSpec
+from .core import ClassId, Family, ParameterError, TargetSpec
+from .extremal import ExtremalId
 
 SQRT2 = math.sqrt(2.0)
 E = math.e
@@ -21,60 +25,8 @@ _TRUNC = 4.0
 MAX_SAMPLES = 1_000_000
 
 
-# ---------------------------------------------------------------------------
-# Boundary generators (images of the unit circle)
-
-def _gen_cardioid(z):
-    return (3.0 + 4.0 * z + 2.0 * z * z) / 3.0
-
-
-def _gen_sine(z):
-    return 1.0 + np.sin(z)
-
-
 _K = SQRT2 + 1.0
-
-
-def _gen_rational(z):
-    return 1.0 + (z * (_K + z)) / (_K * (_K - z))
-
-
-def _gen_nephroid(z):
-    return 1.0 + z - z**3 / 3.0
-
-
-def _gen_exponential(z):
-    return np.exp(z)
-
-
-def _gen_lemniscate(z):
-    return np.sqrt(1.0 + z)
-
-
-def _gen_sg(z):
-    return 2.0 / (1.0 + np.exp(-z))
-
-
 _C_RL = 2.0 * (SQRT2 - 1.0)
-
-
-def _gen_rl(z):
-    # The image of the unit disk is the left half of the shifted lemniscate,
-    # |(w - sqrt2)^2 - 1| < 1 with Re w < sqrt2 (Mendiratta, Nagpal and
-    # Ravichandran, Int. J. Math. 25 (2014) 1450090).
-    return SQRT2 - (SQRT2 - 1.0) * np.sqrt((1.0 - z) / (1.0 + _C_RL * z))
-
-
-GENERATORS: dict = {
-    Family.CARDIOID: _gen_cardioid,
-    Family.SINE: _gen_sine,
-    Family.RATIONAL_R: _gen_rational,
-    Family.NEPHROID: _gen_nephroid,
-    Family.EXPONENTIAL: _gen_exponential,
-    Family.LEMNISCATE: _gen_lemniscate,
-    Family.SIGMOID_SG: _gen_sg,
-    Family.RATIONAL_RL: _gen_rl,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -92,59 +44,42 @@ def nephroid_sextic(u, v):
     return (u * u - 2.0 * u + v * v + 5.0 / 9.0) ** 3 - 4.0 * v * v / 3.0
 
 
-def membership_mask(t: TargetSpec, ws) -> np.ndarray:
-    """Exact interior test of the target domain for each point of ws."""
-    w = np.asarray(ws, dtype=complex)
-    f = t.family
-    if f is Family.STARLIKE_ORDER:
-        return w.real > t.alpha
-    if f is Family.LEMNISCATE:
-        # right loop only; |w^2-1| < 1 already excludes the imaginary axis
-        return (np.abs(w * w - 1.0) < 1.0) & (w.real > 0.0)
-    if f is Family.PARABOLIC:
-        return np.abs(w - 1.0) < w.real
-    if f is Family.EXPONENTIAL:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            mask = np.abs(np.log(w)) < 1.0
-        return np.where(w == 0.0, False, mask)
-    if f is Family.CARDIOID:
-        return cardioid_quartic(w.real, w.imag) < 0.0
-    if f is Family.LUNE:
-        return np.abs(w * w - 1.0) < 2.0 * np.abs(w)
-    if f is Family.SINE:
-        # sin is univalent on the unit disk, whose image meets the real axis
-        # only inside (-1, 1), away from the branch cuts of arcsin
-        return np.abs(np.arcsin(w - 1.0)) < 1.0
-    if f is Family.RATIONAL_R:
-        # preimages of w under the generator solve
-        # z^2 + K w z - K^2 (w - 1) = 0; the smaller one lies in the disk
-        b = _K * w
-        s = np.sqrt(b * b + 4.0 * _K * _K * (w - 1.0))
-        return np.minimum(np.abs(s - b), np.abs(s + b)) < 2.0
-    if f is Family.RATIONAL_RL:
-        # |u^2 - 1| < 1 with u = w - sqrt2, expanded so that points near the
-        # node u = 0 do not round onto the boundary; Re u < 0 picks the left
-        # loop, the image of the generator
-        u = w - SQRT2
-        a = u.real * u.real + u.imag * u.imag
-        return (a * a < 2.0 * (u * u).real) & (u.real < 0.0)
-    if f is Family.STRONGLY_STARLIKE:
-        half = 0.5 * math.pi * t.gamma
-        return (w != 0.0) & (np.abs(np.angle(w)) < half)
-    if f is Family.NEPHROID:
-        return nephroid_sextic(w.real, w.imag) < 0.0
-    if f is Family.SIGMOID_SG:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            u = w / (2.0 - w)
-            mask = np.abs(np.log(u)) < 1.0
-        bad = (w == 2.0) | (u == 0.0)
-        return np.where(bad, False, mask)
-    raise ParameterError(f"no membership predicate for {f}")
+def _exponential_mask(t, w):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mask = np.abs(np.log(w)) < 1.0
+    return np.where(w == 0.0, False, mask)
 
 
-def region_contains(t: TargetSpec, w: complex) -> bool:
-    """True iff w is interior to the target domain."""
-    return bool(membership_mask(t, complex(w)))
+def _rational_mask(t, w):
+    # preimages of w under the generator solve
+    # z^2 + K w z - K^2 (w - 1) = 0; the smaller one lies in the disk
+    b = _K * w
+    s = np.sqrt(b * b + 4.0 * _K * _K * (w - 1.0))
+    return np.minimum(np.abs(s - b), np.abs(s + b)) < 2.0
+
+
+def _rl_mask(t, w):
+    # |u^2 - 1| < 1 with u = w - sqrt2, expanded so that points near the
+    # node u = 0 do not round onto the boundary; Re u < 0 picks the left
+    # loop, the image of the generator
+    u = w - SQRT2
+    a = u.real * u.real + u.imag * u.imag
+    return (a * a < 2.0 * (u * u).real) & (u.real < 0.0)
+
+
+def _sg_mask(t, w):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = w / (2.0 - w)
+        mask = np.abs(np.log(u)) < 1.0
+    bad = (w == 2.0) | (u == 0.0)
+    return np.where(bad, False, mask)
+
+
+def _rl_generator(z):
+    # The image of the unit disk is the left half of the shifted lemniscate,
+    # |(w - sqrt2)^2 - 1| < 1 with Re w < sqrt2 (Mendiratta, Nagpal and
+    # Ravichandran, Int. J. Math. 25 (2014) 1450090).
+    return SQRT2 - (SQRT2 - 1.0) * np.sqrt((1.0 - z) / (1.0 + _C_RL * z))
 
 
 # ---------------------------------------------------------------------------
@@ -167,13 +102,6 @@ def _anchored_circle(n: int) -> np.ndarray:
     pts[-1] = 1.0
     pts[(n - 1) // 2] = -1.0
     return pts
-
-
-def boundary_parameters(t: TargetSpec, n: int) -> np.ndarray:
-    """Curve parameter in [0, 2*pi] for each sample of region_boundary."""
-    if t.family in GENERATORS:
-        return _anchored_angles(n)
-    return np.linspace(0.0, 2.0 * math.pi, n)
 
 
 def _halfplane_boundary(alpha: float, n: int) -> np.ndarray:
@@ -230,6 +158,146 @@ def _lune_boundary(n: int) -> np.ndarray:
     return np.concatenate([outer, inner])
 
 
+# ---------------------------------------------------------------------------
+# The family table
+
+# Tolerance of the boundary-contact check at a sharp radius.
+_SHARP_TOL = 1e-6
+
+
+@dataclass(frozen=True)
+class FamilyDef:
+    """Every per-family fact of one target domain.
+
+    mask(t, w): exact interior test of the domain on a complex array.
+    generator(z): maps the unit circle onto the boundary; a family without
+    one has boundary(t, n) instead, n closed samples.
+    threshold(t) = (p, q): the disk {|w - c| < R}, c >= 1, lies in the domain
+    while R <= p + q * c; None where the threshold is not affine in c.
+    contact(t, v) = (functional value, claimed contact value) at v = zf'/f.
+    sharp[class_id] = (witness, sign of the contact point, tolerance) for
+    the classes whose radius for this domain is sharp.
+    g2: the radius condition is stated for the second class.
+    """
+
+    mask: Callable[[TargetSpec, np.ndarray], np.ndarray]
+    threshold: Optional[Callable[[TargetSpec], Tuple[float, float]]]
+    g2: bool
+    generator: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    boundary: Optional[Callable[[TargetSpec, int], np.ndarray]] = None
+    contact: Optional[Callable[[TargetSpec, complex], Tuple[float, float]]] = None
+    sharp: Dict[ClassId, Tuple[ExtremalId, int, float]] = field(default_factory=dict)
+
+
+FAMILIES: Dict[Family, FamilyDef] = {
+    Family.STARLIKE_ORDER: FamilyDef(
+        mask=lambda t, w: w.real > t.alpha,
+        boundary=lambda t, n: _halfplane_boundary(t.alpha, n),
+        threshold=lambda t: (-t.alpha, 1.0),
+        contact=lambda t, v: (v.real, t.alpha),
+        sharp={ClassId.G1: (ExtremalId.F1, +1, _SHARP_TOL)},
+        g2=False),
+    Family.LEMNISCATE: FamilyDef(
+        # right loop only; |w^2-1| < 1 already excludes the imaginary axis
+        mask=lambda t, w: (np.abs(w * w - 1.0) < 1.0) & (w.real > 0.0),
+        generator=lambda z: np.sqrt(1.0 + z),
+        threshold=lambda t: (SQRT2, -1.0),
+        contact=lambda t, v: (abs(v * v - 1.0), 1.0),
+        sharp={ClassId.G1: (ExtremalId.F2, -1, _SHARP_TOL)},
+        g2=False),
+    Family.PARABOLIC: FamilyDef(
+        mask=lambda t, w: np.abs(w - 1.0) < w.real,
+        boundary=lambda t, n: _parabola_boundary(n),
+        threshold=lambda t: (-0.5, 1.0),
+        contact=lambda t, v: (v.real, abs(v - 1.0)),
+        sharp={ClassId.G1: (ExtremalId.F1, +1, _SHARP_TOL)},
+        g2=False),
+    Family.EXPONENTIAL: FamilyDef(
+        mask=_exponential_mask,
+        generator=np.exp,
+        threshold=lambda t: (-1.0 / E, 1.0),
+        contact=lambda t, v: (abs(cmath.log(v)), 1.0),
+        sharp={ClassId.G1: (ExtremalId.F1, +1, _SHARP_TOL)},
+        g2=False),
+    Family.CARDIOID: FamilyDef(
+        mask=lambda t, w: cardioid_quartic(w.real, w.imag) < 0.0,
+        generator=lambda z: (3.0 + 4.0 * z + 2.0 * z * z) / 3.0,
+        threshold=lambda t: (-1.0 / 3.0, 1.0),
+        contact=lambda t, v: (abs(v), 1.0 / 3.0),
+        sharp={ClassId.G1: (ExtremalId.F1, +1, _SHARP_TOL)},
+        g2=True),
+    Family.SINE: FamilyDef(
+        # sin is univalent on the unit disk, whose image meets the real axis
+        # only inside (-1, 1), away from the branch cuts of arcsin
+        mask=lambda t, w: np.abs(np.arcsin(w - 1.0)) < 1.0,
+        generator=lambda z: 1.0 + np.sin(z),
+        threshold=lambda t: (SIN1 + 1.0, -1.0),
+        contact=lambda t, v: (abs(v), 1.0 + SIN1),
+        sharp={ClassId.G1: (ExtremalId.F2, -1, _SHARP_TOL),
+               ClassId.G2: (ExtremalId.F3, -1, _SHARP_TOL)},
+        g2=True),
+    Family.LUNE: FamilyDef(
+        # the image of z + sqrt(1 + z^2) is the right lobe of |w^2-1| < 2|w|
+        # (Raina and Sokol, C. R. Math. Acad. Sci. Paris 353 (2015) 973-978)
+        mask=lambda t, w: (np.abs(w * w - 1.0) < 2.0 * np.abs(w)) & (w.real > 0.0),
+        boundary=lambda t, n: _lune_boundary(n),
+        threshold=lambda t: (1.0 - SQRT2, 1.0),
+        g2=True),
+    Family.RATIONAL_R: FamilyDef(
+        mask=_rational_mask,
+        generator=lambda z: 1.0 + (z * (_K + z)) / (_K * (_K - z)),
+        threshold=lambda t: (2.0 - 2.0 * SQRT2, 1.0),
+        contact=lambda t, v: (abs(v), 2.0 * (SQRT2 - 1.0)),
+        sharp={ClassId.G1: (ExtremalId.F1, +1, _SHARP_TOL)},
+        g2=True),
+    Family.RATIONAL_RL: FamilyDef(
+        mask=_rl_mask,
+        generator=_rl_generator,
+        threshold=None,
+        g2=True),
+    Family.STRONGLY_STARLIKE: FamilyDef(
+        mask=lambda t, w: (w != 0.0) & (np.abs(np.angle(w)) < 0.5 * math.pi * t.gamma),
+        boundary=lambda t, n: _sector_boundary(t.gamma, n),
+        threshold=lambda t: (0.0, math.sin(0.5 * math.pi * t.gamma)),
+        g2=True),
+    Family.NEPHROID: FamilyDef(
+        mask=lambda t, w: nephroid_sextic(w.real, w.imag) < 0.0,
+        generator=lambda z: 1.0 + z - z**3 / 3.0,
+        threshold=lambda t: (5.0 / 3.0, -1.0),
+        contact=lambda t, v: (abs(v), 5.0 / 3.0),
+        # the g1 condition is one of the two flagged ones: its contact is
+        # checked at the looser tolerance of variant adjudication
+        sharp={ClassId.G1: (ExtremalId.F2, -1, 1e-4),
+               ClassId.G2: (ExtremalId.F3, -1, _SHARP_TOL)},
+        g2=True),
+    Family.SIGMOID_SG: FamilyDef(
+        mask=_sg_mask,
+        generator=lambda z: 2.0 / (1.0 + np.exp(-z)),
+        threshold=lambda t: (2.0 * E / (1.0 + E), -1.0),
+        contact=lambda t, v: (abs(cmath.log(v / (2.0 - v))), 1.0),
+        sharp={ClassId.G1: (ExtremalId.F2, -1, _SHARP_TOL),
+               ClassId.G2: (ExtremalId.F3, -1, _SHARP_TOL)},
+        g2=True),
+}
+
+
+def membership_mask(t: TargetSpec, ws) -> np.ndarray:
+    """Exact interior test of the target domain for each point of ws."""
+    return FAMILIES[t.family].mask(t, np.asarray(ws, dtype=complex))
+
+
+def region_contains(t: TargetSpec, w: complex) -> bool:
+    """True iff w is interior to the target domain."""
+    return bool(membership_mask(t, complex(w)))
+
+
+def boundary_parameters(t: TargetSpec, n: int) -> np.ndarray:
+    """Curve parameter in [0, 2*pi] for each sample of region_boundary."""
+    if FAMILIES[t.family].generator is not None:
+        return _anchored_angles(n)
+    return np.linspace(0.0, 2.0 * math.pi, n)
+
+
 def region_boundary(t: TargetSpec, n: int) -> np.ndarray:
     """n closed boundary samples of the target domain (first == last).
     Unbounded boundaries are truncated to |w| <= 4 and closed with a cap."""
@@ -237,55 +305,23 @@ def region_boundary(t: TargetSpec, n: int) -> np.ndarray:
         raise ParameterError(f"n={n} too small for a closed boundary")
     if n > MAX_SAMPLES:
         raise ParameterError(f"n={n} above the limit of {MAX_SAMPLES} samples")
-    f = t.family
-    gen = GENERATORS.get(f)
-    if gen is not None:
-        return gen(_anchored_circle(n))
-    if f is Family.STARLIKE_ORDER:
-        return _halfplane_boundary(t.alpha, n)
-    if f is Family.STRONGLY_STARLIKE:
-        return _sector_boundary(t.gamma, n)
-    if f is Family.PARABOLIC:
-        return _parabola_boundary(n)
-    if f is Family.LUNE:
-        return _lune_boundary(n)
-    raise ParameterError(f"no boundary parametrization for {f}")
+    fd = FAMILIES[t.family]
+    if fd.generator is not None:
+        return fd.generator(_anchored_circle(n))
+    return fd.boundary(t, n)
 
-
-# ---------------------------------------------------------------------------
-# Disk-containment thresholds
 
 def containment_threshold(t: TargetSpec, c: float) -> float:
     """Largest R such that the disk {|w-c| < R} is inside the target domain
     according to the per-family containment condition; may be negative."""
     if c < 1.0:
         raise ParameterError(f"center c={c!r} below 1")
-    f = t.family
-    if f is Family.STARLIKE_ORDER:
-        return c - t.alpha
-    if f is Family.LEMNISCATE:
-        return (SQRT2 - 1.0) - (c - 1.0)
-    if f is Family.PARABOLIC:
-        return c - 0.5
-    if f is Family.EXPONENTIAL:
-        return c - 1.0 / E
-    if f is Family.CARDIOID:
-        return c - 1.0 / 3.0
-    if f is Family.SINE:
-        return SIN1 - (c - 1.0)
-    if f is Family.LUNE:
-        return 1.0 - SQRT2 + c
-    if f is Family.RATIONAL_R:
-        return c - 2.0 * (SQRT2 - 1.0)
-    if f is Family.RATIONAL_RL:
-        if abs(SQRT2 - c) > 1.0:
-            return 0.0
-        t2 = 1.0 - (SQRT2 - c) ** 2
-        return math.sqrt(math.sqrt(t2) - t2)
-    if f is Family.STRONGLY_STARLIKE:
-        return c * math.sin(0.5 * math.pi * t.gamma)
-    if f is Family.NEPHROID:
-        return 5.0 / 3.0 - c
-    if f is Family.SIGMOID_SG:
-        return 2.0 * E / (1.0 + E) - c
-    raise ParameterError(f"unknown family {f}")
+    affine = FAMILIES[t.family].threshold
+    if affine is not None:
+        p, q = affine(t)
+        return p + q * c
+    # RL, the one family whose threshold is not affine in c
+    if abs(SQRT2 - c) > 1.0:
+        return 0.0
+    t2 = 1.0 - (SQRT2 - c) ** 2
+    return math.sqrt(math.sqrt(t2) - t2)

@@ -3,54 +3,23 @@ isolation in (0, 1)."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from . import bounds, regions
 from .core import (ClassId, ClassSpec, ConditionKind, Family, NoRootError,
                    ParameterError, RadiusCondition, RadiusResult, TargetSpec,
-                   UnsupportedCombinationError, Variant)
-from .regions import E, SIN1, SQRT2
+                   UnsupportedCombinationError, Variant, default_target)
 
 _SCAN_STEP = 1e-3
 _DEFAULT_TOL = 1e-12
 
-# Targets with established radius conditions for the second class; everything
-# else on G2 is an extrapolation and needs the extended flag.
-_G2_SUPPORTED = frozenset([
-    Family.CARDIOID, Family.SINE, Family.LUNE, Family.RATIONAL_R,
-    Family.RATIONAL_RL, Family.STRONGLY_STARLIKE, Family.NEPHROID,
-    Family.SIGMOID_SG,
-])
 
-
-def _affine_threshold(t: TargetSpec) -> Tuple[float, float]:
-    """Containment threshold as p + q * center; RL is not affine."""
-    f = t.family
-    if f is Family.STARLIKE_ORDER:
-        return (-t.alpha, 1.0)
-    if f is Family.LEMNISCATE:
-        return (SQRT2, -1.0)
-    if f is Family.PARABOLIC:
-        return (-0.5, 1.0)
-    if f is Family.EXPONENTIAL:
-        return (-1.0 / E, 1.0)
-    if f is Family.CARDIOID:
-        return (-1.0 / 3.0, 1.0)
-    if f is Family.SINE:
-        return (SIN1 + 1.0, -1.0)
-    if f is Family.LUNE:
-        return (1.0 - SQRT2, 1.0)
-    if f is Family.RATIONAL_R:
-        return (2.0 - 2.0 * SQRT2, 1.0)
-    if f is Family.STRONGLY_STARLIKE:
-        return (0.0, math.sin(0.5 * math.pi * t.gamma))
-    if f is Family.NEPHROID:
-        return (5.0 / 3.0, -1.0)
-    if f is Family.SIGMOID_SG:
-        return (2.0 * E / (1.0 + E), -1.0)
-    raise ParameterError(f"no affine threshold for {f}")
+def _stated(class_id: ClassId, t: TargetSpec) -> bool:
+    """True where the radius condition is established for the class; every
+    other G2 cell is an extrapolation and needs the extended flag."""
+    return (class_id is ClassId.G1 or regions.FAMILIES[t.family].g2
+            or (t.family is Family.STARLIKE_ORDER and t.alpha == 0.0))
 
 
 def _poly_mul(a: Sequence[float], b: Sequence[float]) -> List[float]:
@@ -92,15 +61,14 @@ def _g2_polynomial(m: float, p: float, q: float) -> Tuple[float, ...]:
     return tuple(h)
 
 
-def _rl_evaluator(spec: ClassSpec, printed_center: bool):
-    target = TargetSpec(Family.RATIONAL_RL)
+def _rl_evaluator(spec: ClassSpec, t: TargetSpec, printed_center: bool):
     m = spec.coeff_mag
     g1 = spec.class_id is ClassId.G1
 
     def h(r: float) -> float:
         d = bounds.disk(spec, r)
         c = 1.0 / (1.0 - r * r) if printed_center else d.center
-        thr = max(regions.containment_threshold(target, c), 0.0)
+        thr = max(regions.containment_threshold(t, c), 0.0)
         if g1:
             den = (1.0 - r * r) * (r * r + 2.0 * m * r + 1.0)
         else:
@@ -115,24 +83,20 @@ def assemble_condition(spec: ClassSpec, t: TargetSpec,
                        extended: bool = False) -> RadiusCondition:
     """Build the scalar condition h(r) whose smallest zero in (0, 1) is the
     radius for the given (class, target) pair."""
-    extrapolation = False
-    if spec.class_id is ClassId.G2 and t.family not in _G2_SUPPORTED:
-        if t.family is Family.STARLIKE_ORDER and t.alpha == 0.0:
-            pass  # base starlikeness condition is stated for G2
-        elif extended:
-            extrapolation = True
-        else:
-            raise UnsupportedCombinationError(
-                f"target {t.family.value!r} is not stated for g2; "
-                "pass extended=True to extrapolate")
+    extrapolation = not _stated(spec.class_id, t)
+    if extrapolation and not extended:
+        raise UnsupportedCombinationError(
+            f"target {t.family.value!r} is not stated for g2; "
+            "pass extended=True to extrapolate")
 
     m = spec.coeff_mag
     g1 = spec.class_id is ClassId.G1
+    affine = regions.FAMILIES[t.family].threshold
 
-    if t.family is Family.RATIONAL_RL:
+    if affine is None:  # RL: the threshold is not affine in the center
         printed_center = g1 and policy is not Variant.CENTER_CORRECTED
         return RadiusCondition(ConditionKind.COMPOSITE, policy,
-                               evaluator=_rl_evaluator(spec, printed_center),
+                               evaluator=_rl_evaluator(spec, t, printed_center),
                                extrapolation=extrapolation)
 
     if g1 and t.family is Family.NEPHROID and policy is not Variant.CENTER_CORRECTED:
@@ -149,7 +113,7 @@ def assemble_condition(spec: ClassSpec, t: TargetSpec,
     if policy is Variant.PRINTED_PROOF:
         raise ParameterError("printed-proof variant exists only for g1 nephroid")
 
-    p, q = _affine_threshold(t)
+    p, q = affine(t)
     coeffs = _g1_polynomial(m, p, q) if g1 else _g2_polynomial(m, p, q)
     return RadiusCondition(ConditionKind.POLYNOMIAL, policy, coeffs=coeffs,
                            extrapolation=extrapolation)
@@ -256,11 +220,5 @@ def radius_table(class_id: ClassId, specs: Iterable[ClassSpec],
 def supported_targets(class_id: ClassId, alpha: float = 0.0,
                       gamma: float = 0.5) -> List[TargetSpec]:
     """Declaration-order target list for a class (12 for G1, 9 for G2)."""
-    from .core import default_target
-    out = []
-    for fam in Family:
-        if class_id is ClassId.G2 and fam not in _G2_SUPPORTED:
-            if fam is not Family.STARLIKE_ORDER or alpha != 0.0:
-                continue
-        out.append(default_target(fam, alpha=alpha, gamma=gamma))
-    return out
+    targets = [default_target(f, alpha=alpha, gamma=gamma) for f in Family]
+    return [t for t in targets if _stated(class_id, t)]

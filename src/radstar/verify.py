@@ -6,21 +6,17 @@ first-class conditions."""
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from . import bounds, regions, solver
-from .core import (ClassId, ClassSpec, Family, ParameterError, RadiusResult,
-                   TargetSpec, Variant)
+from .core import (ClassId, ClassSpec, Family, ParameterError, TargetSpec,
+                   Variant)
 from .extremal import ExtremalId, log_deriv
-from .regions import MAX_SAMPLES, SIN1, SQRT2
-
-_SHARPNESS_TOL = 1e-6
-_NEPHROID_ADJ_TOL = 1e-4
+from .regions import MAX_SAMPLES
 
 
 @dataclass(frozen=True)
@@ -132,63 +128,18 @@ def containment_scan(spec: ClassSpec, t: TargetSpec, rho: float,
 # ---------------------------------------------------------------------------
 # Sharpness
 
-# (extremal id, evaluation-point sign) per sharp part.
-_G1_SHARP = {
-    Family.STARLIKE_ORDER: (ExtremalId.F1, +1),
-    Family.LEMNISCATE: (ExtremalId.F2, -1),
-    Family.PARABOLIC: (ExtremalId.F1, +1),
-    Family.EXPONENTIAL: (ExtremalId.F1, +1),
-    Family.CARDIOID: (ExtremalId.F1, +1),
-    Family.SINE: (ExtremalId.F2, -1),
-    Family.RATIONAL_R: (ExtremalId.F1, +1),
-    Family.NEPHROID: (ExtremalId.F2, -1),
-    Family.SIGMOID_SG: (ExtremalId.F2, -1),
-}
-_G2_SHARP = {
-    Family.SINE: (ExtremalId.F3, -1),
-    Family.NEPHROID: (ExtremalId.F3, -1),
-    Family.SIGMOID_SG: (ExtremalId.F3, -1),
-}
-
-
-def _sharp_functional(t: TargetSpec, v: complex) -> Tuple[float, float]:
-    """(functional value, claimed contact value) for the boundary-contact check."""
-    f = t.family
-    if f is Family.STARLIKE_ORDER:
-        return v.real, t.alpha
-    if f is Family.LEMNISCATE:
-        return abs(v * v - 1.0), 1.0
-    if f is Family.PARABOLIC:
-        return v.real, abs(v - 1.0)
-    if f is Family.EXPONENTIAL:
-        return abs(cmath.log(v)), 1.0
-    if f is Family.CARDIOID:
-        return abs(v), 1.0 / 3.0
-    if f is Family.SINE:
-        return abs(v), 1.0 + SIN1
-    if f is Family.RATIONAL_R:
-        return abs(v), 2.0 * (SQRT2 - 1.0)
-    if f is Family.NEPHROID:
-        return abs(v), 5.0 / 3.0
-    if f is Family.SIGMOID_SG:
-        return abs(cmath.log(v / (2.0 - v))), 1.0
-    raise ParameterError(f"no sharpness functional for {f}")
-
-
 def sharpness_check(spec: ClassSpec, t: TargetSpec, rho: float,
                     variant: Variant = Variant.CENTER_CORRECTED) -> SharpnessReport:
     """Evaluate the boundary-contact functional of the witness function at
     the designated point; not-applicable parts return a marker."""
-    table = _G1_SHARP if spec.class_id is ClassId.G1 else _G2_SHARP
-    entry = table.get(t.family)
+    fd = regions.FAMILIES[t.family]
+    entry = fd.sharp.get(spec.class_id)
     if entry is None:
         return SharpnessReport(applicable=False)
-    eid, sign = entry
+    eid, sign, tol = entry
     z = sign * rho
     v = log_deriv(eid, spec.b, z)
-    value, target_value = _sharp_functional(t, v)
-    tol = _NEPHROID_ADJ_TOL if (spec.class_id is ClassId.G1
-                                and t.family is Family.NEPHROID) else _SHARPNESS_TOL
+    value, target_value = fd.contact(t, v)
     return SharpnessReport(applicable=True, extremal=eid.value, point=z,
                            value=value, target_value=target_value,
                            ok=abs(value - target_value) <= tol, tol=tol)

@@ -6,7 +6,8 @@ import pytest
 
 from radstar.bounds import (HerglotzParams, disk, g1_disk, g2_disk,
                             herglotz_logderiv_bound)
-from radstar.core import ClassId, DomainError, ParameterError, make_class
+from radstar.core import (ClassId, DomainError, ParameterError,
+                          class_from_coeff_mag, make_class)
 
 
 def test_herglotz_params_validation():
@@ -85,6 +86,22 @@ def test_g2_disk_exact_rational_values():
     d = g2_disk(make_class(ClassId.G2, -1.0), 0.5)
     assert d.center == pytest.approx(4.0 / 3.0, abs=1e-15)
     assert d.radius == pytest.approx(2.0, abs=1e-14)
+
+
+def test_disk_is_moebius_part_plus_herglotz_bound():
+    # zf'/f = (Moebius part) + zp'/p, so the disk radius is the radius of the
+    # Moebius part plus the log-derivative bound of the Herglotz factor
+    rng = np.random.default_rng(7)
+    for _ in range(2000):
+        r = float(rng.uniform(0.0, 0.999))
+        s1 = class_from_coeff_mag(ClassId.G1, float(rng.uniform(0.0, 1.0)))
+        s2 = class_from_coeff_mag(ClassId.G2, float(rng.uniform(0.0, 2.0)))
+        h1 = herglotz_logderiv_bound(HerglotzParams(s1.coeff_mag), r)
+        h2 = herglotz_logderiv_bound(HerglotzParams(s2.coeff_mag / 2.0), r)
+        assert g1_disk(s1, r).radius == pytest.approx(
+            2.0 * r / (1.0 - r * r) + h1, rel=1e-14, abs=1e-300)
+        assert g2_disk(s2, r).radius == pytest.approx(
+            r / (1.0 - r * r) + h2, rel=1e-14, abs=1e-300)
 
 
 def test_disk_radius_vanishes_at_origin():

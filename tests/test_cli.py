@@ -2,10 +2,13 @@ import csv
 import io
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from radstar import cli
+
+DATA = Path(__file__).parent / "data"
 
 
 def _run(argv):
@@ -83,6 +86,9 @@ def test_radius_bad_parameters_exit_code(capsys):
     code, _, err = _main(["radius", "--class", "g1", "--b", "-1",
                           "--target", "no-such-region"], capsys)
     assert code == 2 and "unknown target" in err
+    # an invalid alpha is rejected for g2 too, whose list drops starlike
+    code, out, err = _main(["table", "--class", "g2", "--alpha", "1.5"], capsys)
+    assert code == 2 and out == "" and "alpha" in err
 
 
 def test_table_default_grid_g1():
@@ -164,6 +170,14 @@ def test_sharpness_command():
     assert by_target["lune"]["applicable"] is False
 
 
+def test_sharpness_tol_exit_code(capsys):
+    # --tol is validated by sharpness exactly as by radius
+    for cmd in (["radius", "--target", "cardioid"], ["sharpness"]):
+        code, out, err = _main(cmd + ["--class", "g1", "--b", "-0.7",
+                                      "--tol", "1e-3"], capsys)
+        assert code == 2 and out == "" and "tol" in err, cmd[0]
+
+
 def test_adjudicate_command():
     code, out = _run(["adjudicate", "--class", "g1", "--b", "-1",
                       "--target", "nephroid"])
@@ -210,3 +224,14 @@ def test_boundary_theta_matches_samples():
         z = complex(math.cos(th), math.sin(th))
         w = 1.0 + z - z**3 / 3.0
         assert abs(complex(re, im) - w) < 1e-12
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["table", "--class", "g1"], "table_g1.csv"),
+    (["table", "--class", "g2", "--extended"], "table_g2_extended.csv"),
+])
+def test_table_output_byte_identical(argv, name, capsys):
+    # the recorded tables are the contract: radii, residuals and statuses
+    # must not move by a single printed digit
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.encode() == (DATA / name).read_bytes()

@@ -95,6 +95,13 @@ def test_lune_membership():
     assert not region_contains(t, SQRT2 - 1.0 - 1e-9)
     assert region_contains(t, SQRT2 + 1.0 - 1e-9)
     assert not region_contains(t, SQRT2 + 1.0 + 1e-9)
+    # |w^2 - 1| < 2|w| also holds on the mirrored left lobe, which is not
+    # part of the domain
+    assert not region_contains(t, -1.0)
+    assert not region_contains(t, -1.5 + 0.3j)
+    # the image of z + sqrt(1 + z^2) just inside the unit circle
+    z = 0.999 * np.exp(2j * math.pi * np.arange(2001) / 2001)
+    assert np.all(membership_mask(t, z + np.sqrt(1.0 + z * z)))
 
 
 def test_rl_membership():
@@ -199,7 +206,7 @@ def test_algebraic_generator_consistency():
                 Family.EXPONENTIAL, Family.SIGMOID_SG, Family.SINE,
                 Family.RATIONAL_R, Family.RATIONAL_RL):
         t = default_target(fam)
-        gen = regions.GENERATORS[fam]
+        gen = regions.FAMILIES[fam].generator
         boundary = gen(regions._anchored_circle(4096))
         pts = rng.uniform(-1.0, 3.5, 400) + 1j * rng.uniform(-2.0, 2.0, 400)
         n_checked = 0
@@ -260,7 +267,7 @@ def test_boundary_parameters_align_with_samples():
     t = default_target(Family.NEPHROID)
     th = boundary_parameters(t, 33)
     pts = region_boundary(t, 33)
-    gen = regions.GENERATORS[Family.NEPHROID]
+    gen = regions.FAMILIES[Family.NEPHROID].generator
     np.testing.assert_allclose(pts, gen(np.exp(1j * th)), atol=1e-14)
 
 

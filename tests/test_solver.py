@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radstar import bounds, regions, solver
 from radstar.core import (ClassId, ConditionKind, Family, NoRootError,
@@ -277,6 +279,20 @@ def test_gamma_one_matches_order_zero():
 
 # ---------------------------------------------------------------------------
 # Tables
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(list(ClassId)), st.floats(0.0, 1.0),
+       st.floats(0.0, 0.9), st.floats(0.05, 1.0))
+def test_radius_puts_disk_on_threshold(class_id, frac, alpha, gamma):
+    # at the computed radius the disk bound touches the containment
+    # threshold, for every stated target and continuous parameters
+    max_mag = 1.0 if class_id is ClassId.G1 else 2.0
+    spec = class_from_coeff_mag(class_id, frac * max_mag)
+    for t in supported_targets(class_id, alpha=alpha, gamma=gamma):
+        d = bounds.disk(spec, compute_radius(spec, t).rho)
+        thr = max(regions.containment_threshold(t, d.center), 0.0)
+        assert abs(d.radius - thr) <= 1e-9 * max(1.0, d.radius), t.label()
+
 
 def test_supported_target_counts():
     assert len(supported_targets(ClassId.G1)) == 12

@@ -62,7 +62,7 @@ def test_just_outside_scan_gated_for_every_family(monkeypatch, capsys):
 def test_rl_threshold_exact_for_generator_image():
     # the composite threshold equals the distance from the center to the image
     # of the unit circle under the generator attached to this family
-    boundary = regions.GENERATORS[Family.RATIONAL_RL](
+    boundary = regions.FAMILIES[Family.RATIONAL_RL].generator(
         regions._anchored_circle(200001))
     t = default_target(Family.RATIONAL_RL)
     for c in (1.0, 1.1, 1.25):
