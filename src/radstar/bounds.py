@@ -5,7 +5,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import ClassId, ClassSpec, DiskSpec, DomainError, ParameterError
+import numpy as np
+
+from .core import (ClassId, ClassSpec, DiskSpec, DomainError, ParameterError,
+                   array_pow)
 
 
 @dataclass(frozen=True)
@@ -22,9 +25,10 @@ class HerglotzParams:
             raise ParameterError(f"alpha={self.alpha!r} outside [0, 1)")
 
 
-def _check_r(r: float) -> None:
-    if not (0.0 <= r < 1.0):
-        raise DomainError(f"r={r!r} outside [0, 1)")
+def _check_r(r) -> None:
+    lo, hi = (r.min(), r.max()) if isinstance(r, np.ndarray) else (r, r)
+    if not (0.0 <= lo and hi < 1.0):
+        raise DomainError(f"r={hi if 0.0 <= lo else lo!r} outside [0, 1)")
 
 
 def herglotz_logderiv_bound(params: HerglotzParams, r: float) -> float:
@@ -37,31 +41,34 @@ def herglotz_logderiv_bound(params: HerglotzParams, r: float) -> float:
     return 2.0 * (1.0 - a) * r / (1.0 - r * r) * num / den
 
 
-def g1_disk(spec: ClassSpec, r: float) -> DiskSpec:
-    """Disk containing zf'/f on |z| = r for the first class."""
+def g1_disk(spec: ClassSpec, r) -> DiskSpec:
+    """Disk containing zf'/f on |z| = r for the first class; r may be an
+    ndarray, giving arrays of centers and radii."""
     if spec.class_id is not ClassId.G1:
         raise ParameterError("g1_disk requires a G1 spec")
     _check_r(r)
+    pw = array_pow if isinstance(r, np.ndarray) else pow
     m = spec.coeff_mag
     center = (1.0 + r * r) / (1.0 - r * r)
-    num = 2.0 * ((1.0 + m) * r**3 + 2.0 * (1.0 + m) * r**2 + (1.0 + m) * r)
+    num = 2.0 * ((1.0 + m) * pw(r, 3) + 2.0 * (1.0 + m) * pw(r, 2) + (1.0 + m) * r)
     den = (1.0 - r * r) * (r * r + 2.0 * m * r + 1.0)
-    return DiskSpec(center=center, radius=num / den, r=r)
+    return DiskSpec(center, num / den, r)
 
 
-def g2_disk(spec: ClassSpec, r: float) -> DiskSpec:
+def g2_disk(spec: ClassSpec, r) -> DiskSpec:
     """Disk containing zf'/f on |z| = r for the second class."""
     if spec.class_id is not ClassId.G2:
         raise ParameterError("g2_disk requires a G2 spec")
     _check_r(r)
+    pw = array_pow if isinstance(r, np.ndarray) else pow
     m = spec.coeff_mag
     center = 1.0 / (1.0 - r * r)
-    num = (1.0 + m) * r**3 + (4.0 + m) * r**2 + (1.0 + m) * r
+    num = (1.0 + m) * pw(r, 3) + (4.0 + m) * pw(r, 2) + (1.0 + m) * r
     den = (1.0 - r * r) * (r * r + m * r + 1.0)
-    return DiskSpec(center=center, radius=num / den, r=r)
+    return DiskSpec(center, num / den, r)
 
 
-def disk(spec: ClassSpec, r: float) -> DiskSpec:
+def disk(spec: ClassSpec, r) -> DiskSpec:
     if spec.class_id is ClassId.G1:
         return g1_disk(spec, r)
     return g2_disk(spec, r)

@@ -96,7 +96,7 @@ def cmd_radius(args, out) -> int:
     res = solver.compute_radius(spec, t, variant, args.tol,
                                 extended=args.extended)
     status = "EXTRAPOLATION" if res.extrapolation else "OK"
-    _emit_records([_record(spec, t, variant, res.rho, res.residual, status)],
+    _emit_records([_record(spec, t, res.variant, res.rho, res.residual, status)],
                   args.format, out)
     return 0
 
@@ -124,10 +124,12 @@ def cmd_table(args, out) -> int:
     for cell in cells:
         if cell.result is None:
             n_err += 1
-            records.append(_record(cell.spec, cell.target, variant,
+            records.append(_record(cell.spec, cell.target,
+                                   solver.effective_variant(class_id, cell.target,
+                                                            variant),
                                    None, None, cell.status))
         else:
-            records.append(_record(cell.spec, cell.target, variant,
+            records.append(_record(cell.spec, cell.target, cell.result.variant,
                                    cell.result.rho, cell.result.residual,
                                    cell.status))
     _emit_records(records, args.format, out)

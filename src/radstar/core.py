@@ -3,8 +3,13 @@
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import repeat
 from typing import Callable, Optional, Tuple
+
+import numpy as np
 
 
 class ParameterError(ValueError):
@@ -155,7 +160,13 @@ class DiskSpec:
 
 @dataclass(frozen=True)
 class RadiusCondition:
-    """Scalar condition h on [0, 1); containment holds while h(r) <= 0."""
+    """Scalar condition h on [0, 1); containment holds while h(r) <= 0.
+
+    h takes a float r or an ndarray of r. On an ndarray it returns the array
+    of the values it returns for each element as a float, bit for bit: the
+    solver finds the sign change on a whole grid at once and bisects with
+    scalar calls. A composite evaluator keeps that contract by writing its
+    formula once for both, taking x ** n of an ndarray from array_pow."""
 
     kind: ConditionKind
     variant: Variant
@@ -170,6 +181,24 @@ class RadiusCondition:
                 acc = acc * r + c
             return acc
         return self.evaluator(r)
+
+
+def array_pow(x: np.ndarray, n: int) -> np.ndarray:
+    """x ** n on each element of an ndarray, with the C-library pow that
+    float ** int calls: numpy's vectorised power can round the last bit
+    differently. The result is read-only."""
+    return _libm_pow(x.astype(float, copy=False).tobytes(), x.shape, n)
+
+
+@lru_cache(maxsize=8)
+def _libm_pow(buf: bytes, shape: Tuple[int, ...], n: int) -> np.ndarray:
+    # Memoised on the contents: the solver evaluates every composite
+    # condition on the same grid, and a call of math.pow per element costs
+    # some twenty times the hashing of the bytes on a cache hit.
+    y = np.fromiter(map(math.pow, np.frombuffer(buf).tolist(), repeat(float(n))),
+                    float).reshape(shape)
+    y.setflags(write=False)
+    return y
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from .core import ClassId, Family, ParameterError, TargetSpec
+from .core import ClassId, Family, ParameterError, TargetSpec, array_pow
 from .extremal import ExtremalId
 
 SQRT2 = math.sqrt(2.0)
@@ -311,17 +311,22 @@ def region_boundary(t: TargetSpec, n: int) -> np.ndarray:
     return fd.boundary(t, n)
 
 
-def containment_threshold(t: TargetSpec, c: float) -> float:
+def containment_threshold(t: TargetSpec, c):
     """Largest R such that the disk {|w-c| < R} is inside the target domain
-    according to the per-family containment condition; may be negative."""
-    if c < 1.0:
-        raise ParameterError(f"center c={c!r} below 1")
+    according to the per-family containment condition; may be negative.
+    c may be an ndarray of centers, giving an array of thresholds."""
+    if isinstance(c, np.ndarray):
+        lowest, pw, sqrt = c.min(), array_pow, np.sqrt
+    else:
+        lowest, pw, sqrt = c, pow, math.sqrt
+    if lowest < 1.0:
+        raise ParameterError(f"center c={lowest!r} below 1")
     affine = FAMILIES[t.family].threshold
     if affine is not None:
         p, q = affine(t)
         return p + q * c
-    # RL, the one family whose threshold is not affine in c
-    if abs(SQRT2 - c) > 1.0:
-        return 0.0
-    t2 = 1.0 - (SQRT2 - c) ** 2
-    return math.sqrt(math.sqrt(t2) - t2)
+    # RL, the one family whose threshold is not affine in c; it is 0 where
+    # |sqrt2 - c| > 1, which is where t2 <= 0, and never negative
+    t2 = 1.0 - pw(SQRT2 - c, 2)
+    t2 = (t2 + abs(t2)) / 2.0  # max(t2, 0) for a finite float or ndarray, exactly
+    return sqrt(sqrt(t2) - t2)

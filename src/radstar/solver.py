@@ -6,12 +6,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from . import bounds, regions
 from .core import (ClassId, ClassSpec, ConditionKind, Family, NoRootError,
                    ParameterError, RadiusCondition, RadiusResult, TargetSpec,
                    UnsupportedCombinationError, Variant, default_target)
 
 _SCAN_STEP = 1e-3
+# the scan points k * _SCAN_STEP for k = 1 .. 999, each the same float as
+# that product
+_GRID = np.arange(1, 1000) * _SCAN_STEP
 _DEFAULT_TOL = 1e-12
 
 
@@ -65,10 +70,10 @@ def _rl_evaluator(spec: ClassSpec, t: TargetSpec, printed_center: bool):
     m = spec.coeff_mag
     g1 = spec.class_id is ClassId.G1
 
-    def h(r: float) -> float:
+    def h(r):
         d = bounds.disk(spec, r)
         c = 1.0 / (1.0 - r * r) if printed_center else d.center
-        thr = max(regions.containment_threshold(t, c), 0.0)
+        thr = regions.containment_threshold(t, c)  # never negative for RL
         if g1:
             den = (1.0 - r * r) * (r * r + 2.0 * m * r + 1.0)
         else:
@@ -78,11 +83,22 @@ def _rl_evaluator(spec: ClassSpec, t: TargetSpec, printed_center: bool):
     return h
 
 
+def effective_variant(class_id: ClassId, t: TargetSpec,
+                      policy: Variant) -> Variant:
+    """The reading assemble_condition solves: the requested policy for the
+    two flagged first-class cells (nephroid and RL), which have alternate
+    readings, and the corrected condition for every other cell."""
+    flagged = class_id is ClassId.G1 and t.family in (Family.NEPHROID,
+                                                       Family.RATIONAL_RL)
+    return policy if flagged else Variant.CENTER_CORRECTED
+
+
 def assemble_condition(spec: ClassSpec, t: TargetSpec,
                        policy: Variant = Variant.CENTER_CORRECTED,
                        extended: bool = False) -> RadiusCondition:
     """Build the scalar condition h(r) whose smallest zero in (0, 1) is the
-    radius for the given (class, target) pair."""
+    radius for the given (class, target) pair, tagged with the reading it
+    solves (effective_variant)."""
     extrapolation = not _stated(spec.class_id, t)
     if extrapolation and not extended:
         raise UnsupportedCombinationError(
@@ -92,15 +108,16 @@ def assemble_condition(spec: ClassSpec, t: TargetSpec,
     m = spec.coeff_mag
     g1 = spec.class_id is ClassId.G1
     affine = regions.FAMILIES[t.family].threshold
+    variant = effective_variant(spec.class_id, t, policy)
 
     if affine is None:  # RL: the threshold is not affine in the center
-        printed_center = g1 and policy is not Variant.CENTER_CORRECTED
-        return RadiusCondition(ConditionKind.COMPOSITE, policy,
+        printed_center = variant is not Variant.CENTER_CORRECTED
+        return RadiusCondition(ConditionKind.COMPOSITE, variant,
                                evaluator=_rl_evaluator(spec, t, printed_center),
                                extrapolation=extrapolation)
 
-    if g1 and t.family is Family.NEPHROID and policy is not Variant.CENTER_CORRECTED:
-        if policy is Variant.PRINTED:
+    if variant is not Variant.CENTER_CORRECTED:  # g1 nephroid
+        if variant is Variant.PRINTED:
             # first alternate reading of this flagged condition
             coeffs = (-2.0, 2.0 * (3.0 + m), 6.0 * (2.0 + m),
                       2.0 * (3.0 + m), 8.0)
@@ -108,14 +125,14 @@ def assemble_condition(spec: ClassSpec, t: TargetSpec,
             # second alternate reading, derived with the uncorrected center
             coeffs = (-2.0, 2.0 * (3.0 + m), 15.0 + 12.0 * m,
                       6.0 + 16.0 * m, 5.0)
-        return RadiusCondition(ConditionKind.POLYNOMIAL, policy, coeffs=coeffs)
+        return RadiusCondition(ConditionKind.POLYNOMIAL, variant, coeffs=coeffs)
 
     if policy is Variant.PRINTED_PROOF:
         raise ParameterError("printed-proof variant exists only for g1 nephroid")
 
     p, q = affine(t)
     coeffs = _g1_polynomial(m, p, q) if g1 else _g2_polynomial(m, p, q)
-    return RadiusCondition(ConditionKind.POLYNOMIAL, policy, coeffs=coeffs,
+    return RadiusCondition(ConditionKind.POLYNOMIAL, variant, coeffs=coeffs,
                            extrapolation=extrapolation)
 
 
@@ -125,9 +142,11 @@ def _no_root(cond: RadiusCondition, message: str, h0: float) -> NoRootError:
 
 def smallest_root_in_01(cond: RadiusCondition,
                         tol: float = _DEFAULT_TOL) -> RadiusResult:
-    """Locate the least r in (0, 1) with h(r) = 0 by a 1e-3 scan for the
-    first sign change followed by bisection to width <= tol. A NaN value of h
-    is neither negative nor a sign change: it raises NoRootError."""
+    """Locate the least r in (0, 1) with h(r) = 0: one evaluation of h on the
+    1e-3 grid finds the first grid point where h is not negative, and
+    bisection of the step before it narrows the bracket to width <= tol. A
+    NaN value of h is neither negative nor a sign change: it raises
+    NoRootError."""
     if not (1e-15 <= tol <= 1e-6):
         raise ParameterError(f"tol={tol!r} outside [1e-15, 1e-6]")
     h0 = cond(0.0)
@@ -136,21 +155,13 @@ def smallest_root_in_01(cond: RadiusCondition,
             raise ParameterError(f"condition is nonnegative at r=0 (h(0)={h0!r})")
         raise _no_root(cond, "condition is NaN at r=0.0", h0)
 
-    lo, hlo = 0.0, h0
-    hi = None
-    k = 1
-    while k * _SCAN_STEP < 1.0:
-        r = k * _SCAN_STEP
-        hr = cond(r)
-        if not hr < 0.0:
-            if hr != hr:
-                raise _no_root(cond, f"condition is NaN at r={r!r}", h0)
-            lo, hi, hhi = (k - 1) * _SCAN_STEP, r, hr
-            break
-        lo, hlo = r, hr
-        k += 1
-    if hi is None:
+    h = cond(_GRID)
+    k = int(np.argmax(~(h < 0.0)))  # first grid point where h is not negative
+    if h[k] < 0.0:
         raise _no_root(cond, "no sign change in (0, 1)", h0)
+    lo, hi = k * _SCAN_STEP, (k + 1) * _SCAN_STEP
+    if h[k] != h[k]:
+        raise _no_root(cond, f"condition is NaN at r={hi!r}", h0)
 
     iterations = 0
     while hi - lo > tol:

@@ -128,8 +128,7 @@ def containment_scan(spec: ClassSpec, t: TargetSpec, rho: float,
 # ---------------------------------------------------------------------------
 # Sharpness
 
-def sharpness_check(spec: ClassSpec, t: TargetSpec, rho: float,
-                    variant: Variant = Variant.CENTER_CORRECTED) -> SharpnessReport:
+def sharpness_check(spec: ClassSpec, t: TargetSpec, rho: float) -> SharpnessReport:
     """Evaluate the boundary-contact functional of the witness function at
     the designated point; not-applicable parts return a marker."""
     fd = regions.FAMILIES[t.family]
@@ -151,10 +150,10 @@ def verify_cell(spec: ClassSpec, t: TargetSpec,
                 extended: bool = False) -> VerificationReport:
     res = solver.compute_radius(spec, t, policy, tol, extended)
     scan = containment_scan(spec, t, res.rho, n_samples)
-    sharp = sharpness_check(spec, t, res.rho, policy)
+    sharp = sharpness_check(spec, t, res.rho)
     return VerificationReport(class_id=spec.class_id, b=spec.b,
                               coeff_mag=spec.coeff_mag, target=t,
-                              variant=policy, rho_used=res.rho,
+                              variant=res.variant, rho_used=res.rho,
                               scan=scan, sharpness=sharp)
 
 
@@ -216,7 +215,7 @@ def adjudicate_variant(spec: ClassSpec, t: TargetSpec,
     for var in variants:
         res = solver.compute_radius(spec, t, var)
         scan = containment_scan(spec, t, res.rho, n_samples)
-        sharp = sharpness_check(spec, t, res.rho, var)
+        sharp = sharpness_check(spec, t, res.rho)
         outcomes.append(VariantOutcome(
             variant=var, rho=res.rho, inside_pass=scan.inside_pass,
             outside_pass=scan.outside_pass,

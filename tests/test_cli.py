@@ -91,6 +91,26 @@ def test_radius_bad_parameters_exit_code(capsys):
     assert code == 2 and out == "" and "alpha" in err
 
 
+def test_printed_variant_labels_the_reading_solved():
+    # only g1 nephroid and g1 rl have a printed reading; every other cell
+    # solves, and is labelled, the corrected condition
+    for argv in (["--class", "g1", "--target", "starlike"],
+                 ["--class", "g2", "--target", "nephroid"]):
+        _, out = _run(["radius", "--b", "-1", "--variant", "printed"] + argv)
+        assert json.loads(out)[0]["variant"] == "corrected", argv
+    _, out = _run(["table", "--class", "g1", "--mag-grid", "1",
+                   "--variant", "printed"])
+    labels = {r["target"]: r["variant"] for r in csv.DictReader(io.StringIO(out))}
+    assert labels.pop("nephroid") == labels.pop("rl") == "printed"
+    assert set(labels.values()) == {"corrected"}
+    # an error row is labelled with the reading its cell would have solved
+    _, out = _run(["table", "--class", "g2", "--mag-grid", "2",
+                   "--targets", "nephroid,exponential", "--variant", "printed"])
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [(r["variant"], r["status"]) for r in rows] == \
+        [("corrected", "OK"), ("corrected", "ERROR:unsupported")]
+
+
 def test_table_default_grid_g1():
     code, out = _run(["table", "--class", "g1"])
     assert code == 0

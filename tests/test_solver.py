@@ -12,6 +12,7 @@ from radstar.core import (ClassId, ConditionKind, Family, NoRootError,
                           class_from_coeff_mag, default_target, make_class)
 from radstar.solver import (assemble_condition, compute_radius, radius_table,
                             smallest_root_in_01, supported_targets)
+from scan_oracle import scan_smallest_root
 
 
 def _poly_condition(coeffs):
@@ -167,17 +168,72 @@ def _composite_condition(h):
 def test_nan_condition_raises():
     # -1 below 0.3, NaN on [0.3, 0.6), +1 above: NaN must not pass the scan
     # as negative and report the edge of the NaN stretch as a root
+    # (evaluators take a float or an ndarray of r, hence np.where)
     def h(r):
-        return -1.0 if r < 0.3 else (math.nan if r < 0.6 else 1.0)
+        return np.where(r < 0.3, -1.0, np.where(r < 0.6, math.nan, 1.0))
     with pytest.raises(NoRootError, match="NaN at r=0.3"):
         smallest_root_in_01(_composite_condition(h))
     # NaN inside the bracket found by the scan stops the bisection
     with pytest.raises(NoRootError, match=r"NaN at r=0\.010[45]"):
         smallest_root_in_01(_composite_condition(
-            lambda r: -1.0 if r < 0.0102 else (math.nan if r < 0.0108 else 1.0)))
+            lambda r: np.where(r < 0.0102, -1.0,
+                               np.where(r < 0.0108, math.nan, 1.0))))
     # NaN at the origin is neither negative nor a parameter error
     with pytest.raises(NoRootError, match="NaN at r=0.0"):
-        smallest_root_in_01(_composite_condition(lambda r: math.nan))
+        smallest_root_in_01(_composite_condition(lambda r: r * math.nan))
+
+
+def test_grid_and_scalar_evaluation_agree():
+    # the solver reads signs from one evaluation on the grid and bisects with
+    # scalar calls, so the two must give the same floats, bit for bit
+    grid = solver._GRID
+    assert grid.tolist() == [k * 1e-3 for k in range(1, 1000)]
+    for class_id in ClassId:
+        max_mag = 1.0 if class_id is ClassId.G1 else 2.0
+        for frac in (0.0, 0.37, 1.0):
+            spec = class_from_coeff_mag(class_id, frac * max_mag)
+            for f in Family:
+                for policy in Variant:
+                    try:
+                        cond = assemble_condition(spec, default_target(f), policy,
+                                                  extended=True)
+                    except ParameterError:
+                        continue
+                    pointwise = [cond(float(r)) for r in grid]
+                    assert np.array_equal(cond(grid), pointwise), \
+                        (class_id, frac, f, policy)
+
+
+def _outcome(find_root, cond):
+    try:
+        return repr(find_root(cond))
+    except NoRootError as exc:
+        return ("NoRootError", str(exc), repr(exc.h_at_0), repr(exc.h_near_1))
+    except ParameterError as exc:
+        return ("ParameterError", str(exc))
+
+
+_GRID_POINT = st.integers(1, 999).map(lambda k: k * 1e-3)
+_ROOT = st.one_of(_GRID_POINT, st.floats(0.0, 1.0), st.floats(-2.0, 3.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_ROOT, min_size=1, max_size=4), st.floats(0.1, 10.0),
+       st.none() | st.tuples(st.one_of(_GRID_POINT, st.floats(0.0, 1.0)),
+                             st.floats(0.0, 0.2)))
+def test_root_matches_point_by_point_scan(roots, scale, nan_stretch):
+    # quartics (and lower) with roots anywhere, on grid points too, negative
+    # at 0 unless 0 is a root, and optionally NaN on [a, a + w): the
+    # whole-grid scan must return what the point-by-point scan returns, or
+    # raise the same error
+    coeffs = scale * np.poly(roots)[::-1]
+    cond = _poly_condition(-coeffs if coeffs[0] > 0.0 else coeffs)
+    if nan_stretch is not None:
+        a, w = nan_stretch
+        poly = cond
+        cond = _composite_condition(
+            lambda r: np.where((a <= r) & (r < a + w), math.nan, poly(r)))
+    assert _outcome(smallest_root_in_01, cond) == _outcome(scan_smallest_root, cond)
 
 
 def test_nonnegative_at_origin_rejected():

@@ -125,12 +125,17 @@ def test_sharpness_contact_at_extreme_b():
 
 
 def test_sharpness_loose_away_from_extreme_b():
-    # away from b = -1 the witness leaves slack, so contact must not be exact
-    spec = make_class(ClassId.G1, -0.6)
+    # the radius depends on b only through |1 + 2b|, so b and -1 - b share
+    # it; the cardioid witness touches the cusp 1/3 at z = rho for every
+    # b <= -1/2, and for b > -1/2 its image stays off the cusp
     t = default_target(Family.CARDIOID)
-    rho = solver.compute_radius(spec, t).rho
-    rep = sharpness_check(spec, t, rho)
-    assert rep.applicable
+    spec = make_class(ClassId.G1, -0.6)
+    rep = sharpness_check(spec, t, solver.compute_radius(spec, t).rho)
+    assert rep.applicable and rep.ok
+    spec = make_class(ClassId.G1, -0.3)
+    rep = sharpness_check(spec, t, solver.compute_radius(spec, t).rho)
+    assert rep.applicable and not rep.ok
+    assert abs(rep.value - 1.0 / 3.0) > 0.05
 
 
 def test_verify_cell_report_shape():
