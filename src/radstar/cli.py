@@ -12,16 +12,14 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import regions, solver, verify
-from .core import (ClassId, Family, NoRootError, ParameterError, TargetSpec,
-                   UnsupportedCombinationError, Variant, default_target,
-                   make_class, class_from_coeff_mag)
+from .core import (MAX_COEFF_MAG, ClassId, Family, NoRootError, ParameterError,
+                   TargetSpec, UnsupportedCombinationError, Variant,
+                   default_target, make_class, class_from_coeff_mag)
 
 CSV_HEADER = ["class", "b", "coeff_mag", "target", "alpha", "gamma",
               "variant", "rho", "residual", "status"]
 
 _FAMILY_BY_NAME = {f.value: f for f in Family}
-_VARIANT_BY_NAME = {"corrected": Variant.CENTER_CORRECTED,
-                    "printed": Variant.PRINTED}
 
 
 def _fmt(x: Optional[float]) -> str:
@@ -33,7 +31,8 @@ def _num(x: Optional[float]) -> Optional[float]:
     return None if x is None else float(f"{x:.15g}")
 
 
-def _parse_target(name: str, alpha: float, gamma: float) -> TargetSpec:
+def _parse_target(name: str, alpha: float = 0.0,
+                  gamma: float = 0.5) -> TargetSpec:
     fam = _FAMILY_BY_NAME.get(name)
     if fam is None:
         raise ParameterError(f"unknown target {name!r}; choose from "
@@ -72,9 +71,35 @@ def _emit_records(records: List[dict], fmt: str, out) -> None:
 
 
 def _standard_specs(class_id: ClassId, n: int = 11):
-    max_mag = 1.0 if class_id is ClassId.G1 else 2.0
+    max_mag = MAX_COEFF_MAG[class_id]
     return [class_from_coeff_mag(class_id, max_mag * k / (n - 1))
             for k in range(n)]
+
+
+def _table_specs(class_id: ClassId, args):
+    """The rows of a table: the --mag-grid magnitudes, --b-steps values of b
+    from --b-start to --b-end, or the standard grid when neither is given."""
+    ends = (args.b_start, args.b_end)
+    if args.b_steps is None:
+        if ends != (None, None):
+            raise ParameterError("--b-start and --b-end need --b-steps")
+        if args.mag_grid is None:
+            return _standard_specs(class_id)
+        try:
+            mags = [float(s) for s in args.mag_grid.split(",")]
+        except ValueError:
+            raise ParameterError(f"--mag-grid {args.mag_grid!r} is not a "
+                                 "comma-separated list of numbers") from None
+        return [class_from_coeff_mag(class_id, m) for m in mags]
+    if args.mag_grid is not None:
+        raise ParameterError("--mag-grid and --b-steps are mutually exclusive")
+    if None in ends:
+        raise ParameterError("--b-steps needs both --b-start and --b-end")
+    if not 1 <= args.b_steps <= regions.MAX_SAMPLES:
+        raise ParameterError(
+            f"--b-steps {args.b_steps} outside [1, {regions.MAX_SAMPLES}]")
+    bs = [args.b_start] if args.b_steps == 1 else np.linspace(*ends, args.b_steps)
+    return [make_class(class_id, b) for b in bs]
 
 
 def _targets_from_flag(class_id: ClassId, flag: str, alpha: float,
@@ -92,7 +117,7 @@ def _targets_from_flag(class_id: ClassId, flag: str, alpha: float,
 def cmd_radius(args, out) -> int:
     spec = make_class(ClassId(args.klass), args.b)
     t = _parse_target(args.target, args.alpha, args.gamma)
-    variant = _VARIANT_BY_NAME[args.variant]
+    variant = Variant(args.variant)
     res = solver.compute_radius(spec, t, variant, args.tol,
                                 extended=args.extended)
     status = "EXTRAPOLATION" if res.extrapolation else "OK"
@@ -103,20 +128,10 @@ def cmd_radius(args, out) -> int:
 
 def cmd_table(args, out) -> int:
     class_id = ClassId(args.klass)
-    if args.mag_grid:
-        mags = [float(s) for s in args.mag_grid.split(",")]
-        specs = [class_from_coeff_mag(class_id, m) for m in mags]
-    elif args.b_steps:
-        if args.b_steps == 1:
-            bs = [args.b_start]
-        else:
-            bs = list(np.linspace(args.b_start, args.b_end, args.b_steps))
-        specs = [make_class(class_id, b) for b in bs]
-    else:
-        specs = _standard_specs(class_id)
+    specs = _table_specs(class_id, args)
     targets = _targets_from_flag(class_id, args.targets, args.alpha,
                                  args.gamma, args.extended)
-    variant = _VARIANT_BY_NAME[args.variant]
+    variant = Variant(args.variant)
     cells = solver.radius_table(class_id, specs, targets, variant, args.tol,
                                 extended=args.extended)
     records = []
@@ -181,8 +196,7 @@ def cmd_sharpness(args, out) -> int:
 
 def cmd_adjudicate(args, out) -> int:
     spec = make_class(ClassId(args.klass), args.b)
-    t = _parse_target(args.target, args.alpha, args.gamma)
-    rep = verify.adjudicate_variant(spec, t)
+    rep = verify.adjudicate_variant(spec, _parse_target(args.target))
     json.dump(rep.to_dict(), out, indent=2)
     out.write("\n")
     return 0
@@ -202,9 +216,13 @@ def cmd_boundary(args, out) -> int:
 
 # ---------------------------------------------------------------------------
 
-def _add_common(p, with_target=True):
+def _add_class(p):
     p.add_argument("--class", dest="klass", required=True, choices=["g1", "g2"])
     p.add_argument("--b", type=float, required=True)
+
+
+def _add_common(p):
+    _add_class(p)
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--gamma", type=float, default=0.5)
     p.add_argument("--tol", type=float, default=1e-12)
@@ -255,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("adjudicate", help="compare variants of the flagged "
                                           "g1 conditions")
-    _add_common(p)
+    _add_class(p)
     p.add_argument("--target", required=True)
     p.set_defaults(func=cmd_adjudicate)
 

@@ -71,6 +71,8 @@ class ConditionKind(enum.Enum):
 
 # Admissible real-parameter intervals on which the radius conditions hold.
 _B_RANGE = {ClassId.G1: (-1.0, 0.0), ClassId.G2: (-1.0, 1.0 / 3.0)}
+# Largest coefficient magnitude |1 + 2b| (G1) or |1 + 3b| (G2) on that interval.
+MAX_COEFF_MAG = {ClassId.G1: 1.0, ClassId.G2: 2.0}
 
 
 @dataclass(frozen=True)
@@ -104,7 +106,7 @@ def make_class(class_id: ClassId, b: float) -> ClassSpec:
 def class_from_coeff_mag(class_id: ClassId, coeff_mag: float) -> ClassSpec:
     """Build a ClassSpec from the magnitude alone, using the representative b <= -1/2 (G1)
     or b <= -1/3 (G2); every radius depends on b only through the magnitude."""
-    max_mag = 1.0 if class_id is ClassId.G1 else 2.0
+    max_mag = MAX_COEFF_MAG[class_id]
     if not (0.0 <= coeff_mag <= max_mag):
         raise ParameterError(
             f"coeff_mag={coeff_mag!r} outside [0, {max_mag}] for {class_id.value}"

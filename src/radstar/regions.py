@@ -1,6 +1,6 @@
 """The twelve target image domains: one FamilyDef per family holds its exact
-membership predicate, its boundary, its disk-containment threshold and its
-boundary-contact (sharpness) data."""
+membership predicate, its boundary, its disk-containment threshold, its
+boundary-contact (sharpness) data and any alternate printed readings."""
 
 from __future__ import annotations
 
@@ -11,7 +11,8 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from .core import ClassId, Family, ParameterError, TargetSpec, array_pow
+from .core import (ClassId, Family, ParameterError, TargetSpec, Variant,
+                   array_pow)
 from .extremal import ExtremalId
 
 SQRT2 = math.sqrt(2.0)
@@ -178,6 +179,8 @@ class FamilyDef:
     sharp[class_id] = (witness, sign of the contact point, tolerance) for
     the classes whose radius for this domain is sharp.
     g2: the radius condition is stated for the second class.
+    readings: the alternate printed readings of the first-class condition,
+    besides the corrected one; only flagged conditions have any.
     """
 
     mask: Callable[[TargetSpec, np.ndarray], np.ndarray]
@@ -187,6 +190,7 @@ class FamilyDef:
     boundary: Optional[Callable[[TargetSpec, int], np.ndarray]] = None
     contact: Optional[Callable[[TargetSpec, complex], Tuple[float, float]]] = None
     sharp: Dict[ClassId, Tuple[ExtremalId, int, float]] = field(default_factory=dict)
+    readings: Tuple[Variant, ...] = ()
 
 
 FAMILIES: Dict[Family, FamilyDef] = {
@@ -254,7 +258,8 @@ FAMILIES: Dict[Family, FamilyDef] = {
         mask=_rl_mask,
         generator=_rl_generator,
         threshold=None,
-        g2=True),
+        g2=True,
+        readings=(Variant.PRINTED,)),
     Family.STRONGLY_STARLIKE: FamilyDef(
         mask=lambda t, w: (w != 0.0) & (np.abs(np.angle(w)) < 0.5 * math.pi * t.gamma),
         boundary=lambda t, n: _sector_boundary(t.gamma, n),
@@ -269,7 +274,8 @@ FAMILIES: Dict[Family, FamilyDef] = {
         # checked at the looser tolerance of variant adjudication
         sharp={ClassId.G1: (ExtremalId.F2, -1, 1e-4),
                ClassId.G2: (ExtremalId.F3, -1, _SHARP_TOL)},
-        g2=True),
+        g2=True,
+        readings=(Variant.PRINTED, Variant.PRINTED_PROOF)),
     Family.SIGMOID_SG: FamilyDef(
         mask=_sg_mask,
         generator=lambda z: 2.0 / (1.0 + np.exp(-z)),

@@ -27,43 +27,20 @@ def _stated(class_id: ClassId, t: TargetSpec) -> bool:
             or (t.family is Family.STARLIKE_ORDER and t.alpha == 0.0))
 
 
-def _poly_mul(a: Sequence[float], b: Sequence[float]) -> List[float]:
-    out = [0.0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a: Sequence[float], b: Sequence[float]) -> List[float]:
-    n = max(len(a), len(b))
-    out = [0.0] * n
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    return out
-
-
-def _g1_polynomial(m: float, p: float, q: float) -> Tuple[float, ...]:
-    # h = N - p*(1-r^2)(r^2+2mr+1) - q*(1+r^2)(r^2+2mr+1), ascending coeffs
-    n_coeffs = [0.0, 2.0 * (1.0 + m), 4.0 * (1.0 + m), 2.0 * (1.0 + m), 0.0]
-    x = [1.0, 2.0 * m, 1.0]
-    a = _poly_mul([1.0, 0.0, -1.0], x)
-    b = _poly_mul([1.0, 0.0, 1.0], x)
-    h = _poly_sub(n_coeffs, [p * v for v in a])
-    h = _poly_sub(h, [q * v for v in b])
-    return tuple(h)
-
-
-def _g2_polynomial(m: float, p: float, q: float) -> Tuple[float, ...]:
-    # h = N2 - p*(1-r^2)(r^2+mr+1) - q*(r^2+mr+1)
-    n_coeffs = [0.0, 1.0 + m, 4.0 + m, 1.0 + m, 0.0]
-    x = [1.0, m, 1.0]
-    a = _poly_mul([1.0, 0.0, -1.0], x)
-    h = _poly_sub(n_coeffs, [p * v for v in a])
-    h = _poly_sub(h, [q * v for v in x])
-    return tuple(h)
+def _quartic(class_id: ClassId, m: float, p: float,
+             q: float) -> Tuple[float, ...]:
+    """Ascending coefficients of h = N - (p(1 - r^2) + q(1 + r^2)) X with
+    X = r^2 + 2mr + 1 and N = 2(1 + m) r (1 + r)^2 for G1, and of
+    h = N - (p(1 - r^2) + q) X with X = r^2 + mr + 1 and
+    N = (1 + m) r + (4 + m) r^2 + (1 + m) r^3 for G2. Each coefficient is
+    grouped as in the product expansion, so the floats match it bit for bit."""
+    if class_id is ClassId.G1:
+        n, m2 = 2.0 * (1.0 + m), 2.0 * m
+        return (-p - q, n - p * m2 - q * m2, 4.0 * (1.0 + m) - q * 2.0,
+                n + p * m2 - q * m2, p - q)
+    # 0.0 + p is +0.0 where p is -0.0 (starlike of order 0), as expanded
+    return (-p - q, 1.0 + m - p * m - q * m, 4.0 + m - q, 1.0 + m + p * m,
+            0.0 + p)
 
 
 def _rl_evaluator(spec: ClassSpec, t: TargetSpec, printed_center: bool):
@@ -85,12 +62,11 @@ def _rl_evaluator(spec: ClassSpec, t: TargetSpec, printed_center: bool):
 
 def effective_variant(class_id: ClassId, t: TargetSpec,
                       policy: Variant) -> Variant:
-    """The reading assemble_condition solves: the requested policy for the
-    two flagged first-class cells (nephroid and RL), which have alternate
-    readings, and the corrected condition for every other cell."""
-    flagged = class_id is ClassId.G1 and t.family in (Family.NEPHROID,
-                                                       Family.RATIONAL_RL)
-    return policy if flagged else Variant.CENTER_CORRECTED
+    """The reading assemble_condition solves: the requested policy where it
+    is one of the alternate first-class readings of the target's
+    FamilyDef, and the corrected condition everywhere else."""
+    readings = regions.FAMILIES[t.family].readings if class_id is ClassId.G1 else ()
+    return policy if policy in readings else Variant.CENTER_CORRECTED
 
 
 def assemble_condition(spec: ClassSpec, t: TargetSpec,
@@ -98,40 +74,33 @@ def assemble_condition(spec: ClassSpec, t: TargetSpec,
                        extended: bool = False) -> RadiusCondition:
     """Build the scalar condition h(r) whose smallest zero in (0, 1) is the
     radius for the given (class, target) pair, tagged with the reading it
-    solves (effective_variant)."""
+    solves (effective_variant). The printed-proof reading is refused on
+    every cell that does not have it."""
     extrapolation = not _stated(spec.class_id, t)
     if extrapolation and not extended:
         raise UnsupportedCombinationError(
             f"target {t.family.value!r} is not stated for g2; "
             "pass extended=True to extrapolate")
-
-    m = spec.coeff_mag
-    g1 = spec.class_id is ClassId.G1
-    affine = regions.FAMILIES[t.family].threshold
     variant = effective_variant(spec.class_id, t, policy)
+    if policy is Variant.PRINTED_PROOF and variant is not policy:
+        raise ParameterError(f"{spec.class_id.value} {t.label()} has no "
+                             "printed-proof reading")
 
+    affine = regions.FAMILIES[t.family].threshold
     if affine is None:  # RL: the threshold is not affine in the center
         printed_center = variant is not Variant.CENTER_CORRECTED
         return RadiusCondition(ConditionKind.COMPOSITE, variant,
                                evaluator=_rl_evaluator(spec, t, printed_center),
                                extrapolation=extrapolation)
 
-    if variant is not Variant.CENTER_CORRECTED:  # g1 nephroid
-        if variant is Variant.PRINTED:
-            # first alternate reading of this flagged condition
-            coeffs = (-2.0, 2.0 * (3.0 + m), 6.0 * (2.0 + m),
-                      2.0 * (3.0 + m), 8.0)
-        else:
-            # second alternate reading, derived with the uncorrected center
-            coeffs = (-2.0, 2.0 * (3.0 + m), 15.0 + 12.0 * m,
-                      6.0 + 16.0 * m, 5.0)
-        return RadiusCondition(ConditionKind.POLYNOMIAL, variant, coeffs=coeffs)
-
-    if policy is Variant.PRINTED_PROOF:
-        raise ParameterError("printed-proof variant exists only for g1 nephroid")
-
-    p, q = affine(t)
-    coeffs = _g1_polynomial(m, p, q) if g1 else _g2_polynomial(m, p, q)
+    m = spec.coeff_mag
+    if variant is Variant.PRINTED:  # first alternate reading of g1 nephroid
+        coeffs = (-2.0, 2.0 * (3.0 + m), 6.0 * (2.0 + m), 2.0 * (3.0 + m), 8.0)
+    elif variant is Variant.PRINTED_PROOF:
+        # second alternate reading, derived with the uncorrected center
+        coeffs = (-2.0, 2.0 * (3.0 + m), 15.0 + 12.0 * m, 6.0 + 16.0 * m, 5.0)
+    else:
+        coeffs = _quartic(spec.class_id, m, *affine(t))
     return RadiusCondition(ConditionKind.POLYNOMIAL, variant, coeffs=coeffs,
                            extrapolation=extrapolation)
 

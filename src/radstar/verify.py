@@ -13,8 +13,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import bounds, regions, solver
-from .core import (ClassId, ClassSpec, Family, ParameterError, TargetSpec,
-                   Variant)
+from .core import ClassId, ClassSpec, ParameterError, TargetSpec, Variant
 from .extremal import ExtremalId, log_deriv
 from .regions import MAX_SAMPLES
 
@@ -144,11 +143,9 @@ def sharpness_check(spec: ClassSpec, t: TargetSpec, rho: float) -> SharpnessRepo
                            ok=abs(value - target_value) <= tol, tol=tol)
 
 
-def verify_cell(spec: ClassSpec, t: TargetSpec,
-                policy: Variant = Variant.CENTER_CORRECTED,
-                tol: float = 1e-12, n_samples: int = 512,
-                extended: bool = False) -> VerificationReport:
-    res = solver.compute_radius(spec, t, policy, tol, extended)
+def verify_cell(spec: ClassSpec, t: TargetSpec, tol: float = 1e-12,
+                n_samples: int = 512) -> VerificationReport:
+    res = solver.compute_radius(spec, t, tol=tol)
     scan = containment_scan(spec, t, res.rho, n_samples)
     sharp = sharpness_check(spec, t, res.rho)
     return VerificationReport(class_id=spec.class_id, b=spec.b,
@@ -203,16 +200,15 @@ class AdjudicationReport:
 
 def adjudicate_variant(spec: ClassSpec, t: TargetSpec,
                        n_samples: int = 512) -> AdjudicationReport:
-    """Compute the radius under every available reading of the flagged
-    conditions and report which readings the exact region supports."""
-    if spec.class_id is not ClassId.G1 or t.family not in (
-            Family.NEPHROID, Family.RATIONAL_RL):
-        raise ParameterError("adjudication applies to g1 nephroid and g1 rl only")
-    variants = [Variant.CENTER_CORRECTED, Variant.PRINTED]
-    if t.family is Family.NEPHROID:
-        variants.append(Variant.PRINTED_PROOF)
+    """Compute the radius under the corrected reading and every alternate
+    reading of a flagged first-class condition, and report which readings
+    the exact region supports."""
+    readings = regions.FAMILIES[t.family].readings
+    if spec.class_id is not ClassId.G1 or not readings:
+        raise ParameterError(f"{spec.class_id.value} {t.label()} has no "
+                             "alternate reading to adjudicate")
     outcomes = []
-    for var in variants:
+    for var in (Variant.CENTER_CORRECTED, *readings):
         res = solver.compute_radius(spec, t, var)
         scan = containment_scan(spec, t, res.rho, n_samples)
         sharp = sharpness_check(spec, t, res.rho)

@@ -213,6 +213,20 @@ def test_adjudicate_rejects_unflagged(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("option", [["--tol", "1e-3"], ["--alpha", "0.5"],
+                                    ["--gamma", "0.3"]],
+                         ids=["tol", "alpha", "gamma"])
+def test_adjudicate_takes_no_order_or_tolerance(option, capsys):
+    # adjudicate solves each reading at the default tolerance, and its
+    # targets have no order parameter: the options are refused, not ignored
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["adjudicate", "--class", "g1", "--b", "-1",
+                  "--target", "nephroid"] + option)
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert "unrecognized arguments: " + " ".join(option) in out.err
+
+
 def test_boundary_rows():
     code, out = _run(["boundary", "--target", "cardioid", "--n", "8"])
     assert code == 0
@@ -244,6 +258,30 @@ def test_boundary_theta_matches_samples():
         z = complex(math.cos(th), math.sin(th))
         w = 1.0 + z - z**3 / 3.0
         assert abs(complex(re, im) - w) < 1e-12
+
+
+_BAD_GRID = [
+    (["--b-steps", "3"], "--b-steps needs both"),
+    (["--b-steps", "3", "--b-end", "-0.5"], "--b-steps needs both"),
+    (["--b-steps", "-2", "--b-start", "-1", "--b-end", "0"], "outside [1, 1000000]"),
+    (["--b-steps", "0", "--b-start", "-1", "--b-end", "0"], "outside [1, 1000000]"),
+    # rejected before numpy allocates the grid
+    (["--b-steps", "1000001", "--b-start", "-1", "--b-end", "0"], "outside [1, 1000000]"),
+    (["--b-start", "-1"], "need --b-steps"),
+    (["--mag-grid", "0.5", "--b-end", "-1"], "need --b-steps"),
+    (["--mag-grid", "0.5,abc"], "not a comma-separated list"),
+    (["--mag-grid", ""], "not a comma-separated list"),
+    (["--mag-grid", "0.5", "--b-steps", "3", "--b-start", "-1", "--b-end", "0"],
+     "mutually exclusive"),
+]
+
+
+@pytest.mark.parametrize("options, message", _BAD_GRID,
+                         ids=[" ".join(o) for o, _ in _BAD_GRID])
+def test_table_bad_grid_options_exit_code(options, message, capsys):
+    code, out, err = _main(["table", "--class", "g1"] + options, capsys)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and message in err
 
 
 @pytest.mark.parametrize("argv, name", [

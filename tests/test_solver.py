@@ -98,10 +98,30 @@ def test_flagged_nephroid_variants_differ():
 
 
 def test_printed_proof_variant_restricted():
-    with pytest.raises(ParameterError):
-        assemble_condition(make_class(ClassId.G1, -1.0),
-                           default_target(Family.CARDIOID),
-                           Variant.PRINTED_PROOF)
+    # only g1 nephroid has a printed-proof reading; RL has a printed one only
+    for class_id, family in ((ClassId.G1, Family.CARDIOID),
+                             (ClassId.G1, Family.RATIONAL_RL),
+                             (ClassId.G2, Family.RATIONAL_RL),
+                             (ClassId.G2, Family.NEPHROID)):
+        with pytest.raises(ParameterError, match="no printed-proof reading"):
+            assemble_condition(make_class(class_id, -1.0), default_target(family),
+                               Variant.PRINTED_PROOF)
+
+
+def test_quartic_is_the_product_form():
+    # the closed-form coefficients against h = N - (p(1 - r^2) + q(1 + r^2)) X
+    # (G1) and h = N - (p(1 - r^2) + q) X (G2) evaluated as written
+    rng = np.random.default_rng(7)
+    for _ in range(500):
+        m, p, q, r = rng.uniform(0.0, 2.0), *rng.uniform(-2.0, 2.0, 2), rng.uniform()
+        x1, x2 = r * r + 2.0 * m * r + 1.0, r * r + m * r + 1.0
+        h1 = (2.0 * (1.0 + m) * r * (1.0 + r) ** 2
+              - (p * (1.0 - r * r) + q * (1.0 + r * r)) * x1)
+        h2 = ((1.0 + m) * r + (4.0 + m) * r * r + (1.0 + m) * r ** 3
+              - (p * (1.0 - r * r) + q) * x2)
+        for class_id, h in ((ClassId.G1, h1), (ClassId.G2, h2)):
+            cond = _poly_condition(solver._quartic(class_id, m, p, q))
+            assert cond(r) == pytest.approx(h, rel=1e-12, abs=1e-12), class_id
 
 
 def test_rl_condition_is_composite():
