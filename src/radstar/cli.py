@@ -102,13 +102,28 @@ def _table_specs(class_id: ClassId, args):
     return [make_class(class_id, b) for b in bs]
 
 
-def _targets_from_flag(class_id: ClassId, flag: str, alpha: float,
-                       gamma: float, extended: bool) -> List[TargetSpec]:
-    if flag == "all":
-        if extended:
-            return [default_target(f, alpha=alpha, gamma=gamma) for f in Family]
-        return solver.supported_targets(class_id, alpha=alpha, gamma=gamma)
-    return [_parse_target(n.strip(), alpha, gamma) for n in flag.split(",")]
+def _targets(args, class_id: Optional[ClassId] = None,
+             extended: bool = False) -> List[TargetSpec]:
+    """The targets a command selects: --target, or --targets for class_id,
+    with --alpha and --gamma where given (default_target's defaults
+    otherwise). A given order option that no selected target takes is
+    refused, not ignored."""
+    given = {opt: getattr(args, opt) for opt in ("alpha", "gamma")
+             if getattr(args, opt) is not None}
+    if class_id is None:
+        targets = [_parse_target(args.target, **given)]
+    elif args.targets != "all":
+        targets = [_parse_target(n.strip(), **given)
+                   for n in args.targets.split(",")]
+    elif extended:
+        targets = [default_target(f, **given) for f in Family]
+    else:
+        targets = solver.supported_targets(class_id, **given)
+    for opt in given:
+        if all(getattr(t, opt) is None for t in targets):
+            raise ParameterError(f"--{opt} applies to none of the selected "
+                                 "targets: " + ",".join(t.label() for t in targets))
+    return targets
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +131,7 @@ def _targets_from_flag(class_id: ClassId, flag: str, alpha: float,
 
 def cmd_radius(args, out) -> int:
     spec = make_class(ClassId(args.klass), args.b)
-    t = _parse_target(args.target, args.alpha, args.gamma)
+    t, = _targets(args)
     variant = Variant(args.variant)
     res = solver.compute_radius(spec, t, variant, args.tol,
                                 extended=args.extended)
@@ -129,8 +144,7 @@ def cmd_radius(args, out) -> int:
 def cmd_table(args, out) -> int:
     class_id = ClassId(args.klass)
     specs = _table_specs(class_id, args)
-    targets = _targets_from_flag(class_id, args.targets, args.alpha,
-                                 args.gamma, args.extended)
+    targets = _targets(args, class_id, args.extended)
     variant = Variant(args.variant)
     cells = solver.radius_table(class_id, specs, targets, variant, args.tol,
                                 extended=args.extended)
@@ -154,8 +168,7 @@ def cmd_table(args, out) -> int:
 def cmd_verify(args, out) -> int:
     class_id = ClassId(args.klass)
     spec = make_class(class_id, args.b)
-    targets = _targets_from_flag(class_id, args.targets, args.alpha,
-                                 args.gamma, extended=False)
+    targets = _targets(args, class_id)
     failed = False
     reports = []
     for t in targets:
@@ -175,8 +188,7 @@ def cmd_verify(args, out) -> int:
 def cmd_sharpness(args, out) -> int:
     class_id = ClassId(args.klass)
     spec = make_class(class_id, args.b)
-    targets = _targets_from_flag(class_id, args.targets, args.alpha,
-                                 args.gamma, extended=False)
+    targets = _targets(args, class_id)
     reports = []
     for t in targets:
         res = solver.compute_radius(spec, t, tol=args.tol)
@@ -203,7 +215,7 @@ def cmd_adjudicate(args, out) -> int:
 
 
 def cmd_boundary(args, out) -> int:
-    t = _parse_target(args.target, args.alpha, args.gamma)
+    t, = _targets(args)
     pts = regions.region_boundary(t, args.n)
     th = regions.boundary_parameters(t, args.n)
     w = csv.writer(out, lineterminator="\n")
@@ -221,10 +233,15 @@ def _add_class(p):
     p.add_argument("--b", type=float, required=True)
 
 
+def _add_order(p):
+    # None marks "not given", so an option no selected target takes is refused
+    p.add_argument("--alpha", type=float, default=None)
+    p.add_argument("--gamma", type=float, default=None)
+
+
 def _add_common(p):
     _add_class(p)
-    p.add_argument("--alpha", type=float, default=0.0)
-    p.add_argument("--gamma", type=float, default=0.5)
+    _add_order(p)
     p.add_argument("--tol", type=float, default=1e-12)
 
 
@@ -251,8 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b-end", type=float, default=None)
     p.add_argument("--b-steps", type=int, default=None)
     p.add_argument("--mag-grid", default=None)
-    p.add_argument("--alpha", type=float, default=0.0)
-    p.add_argument("--gamma", type=float, default=0.5)
+    _add_order(p)
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--variant", choices=["corrected", "printed"],
                    default="corrected")
@@ -280,8 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("boundary", help="emit boundary samples as CSV")
     p.add_argument("--target", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--alpha", type=float, default=0.0)
-    p.add_argument("--gamma", type=float, default=0.5)
+    _add_order(p)
     p.add_argument("--format", choices=["csv"], default="csv")
     p.set_defaults(func=cmd_boundary)
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import repeat
 from typing import Callable, Optional, Tuple
@@ -168,21 +168,39 @@ class RadiusCondition:
     of the values it returns for each element as a float, bit for bit: the
     solver finds the sign change on a whole grid at once and bisects with
     scalar calls. A composite evaluator keeps that contract by writing its
-    formula once for both, taking x ** n of an ndarray from array_pow."""
+    formula once for both, taking x ** n of an ndarray from array_pow. A
+    polynomial condition is evaluated by Horner's rule, unrolled once here."""
 
     kind: ConditionKind
     variant: Variant
     coeffs: Optional[Tuple[float, ...]] = None  # ascending by degree
     evaluator: Optional[Callable[[float], float]] = None
     extrapolation: bool = False
+    _h: Callable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        h = (_horner(self.coeffs) if self.kind is ConditionKind.POLYNOMIAL
+             else self.evaluator)
+        object.__setattr__(self, "_h", h)
 
     def __call__(self, r: float) -> float:
-        if self.kind is ConditionKind.POLYNOMIAL:
-            acc = 0.0
-            for c in reversed(self.coeffs):
-                acc = acc * r + c
-            return acc
-        return self.evaluator(r)
+        return self._h(r)
+
+
+def _horner(coeffs: Tuple[float, ...]) -> Callable[[float], float]:
+    """acc = acc * r + c over the coefficients from the highest degree down,
+    starting at acc = 0.0, unrolled for degree at most 4. The first step's
+    0.0 * r is +0.0 for every r in [+0.0, 1), so it is folded into
+    0.0 + c4; the leading zeros that pad a shorter tuple keep acc at +0.0."""
+    if len(coeffs) > 5:
+        raise ParameterError(f"{len(coeffs)} coefficients; at most 5 (degree 4)")
+    c0, c1, c2, c3, c4 = tuple(coeffs) + (0.0,) * (5 - len(coeffs))
+    a4 = 0.0 + c4
+
+    def h(r):
+        return (((a4 * r + c3) * r + c2) * r + c1) * r + c0
+
+    return h
 
 
 def array_pow(x: np.ndarray, n: int) -> np.ndarray:

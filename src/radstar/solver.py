@@ -17,13 +17,18 @@ _SCAN_STEP = 1e-3
 # the scan points k * _SCAN_STEP for k = 1 .. 999, each the same float as
 # that product
 _GRID = np.arange(1, 1000) * _SCAN_STEP
+# Every radius is at most sqrt2 - 1 (g2 starlike at m = 0), so the scan
+# evaluates the first half of the grid, r <= 0.5, and the second half only
+# where h is negative on all of the first. Each half with its first index.
+_HALVES = ((0, _GRID[:500]), (500, _GRID[500:]))
 _DEFAULT_TOL = 1e-12
 
 
-def _stated(class_id: ClassId, t: TargetSpec) -> bool:
+def _stated(class_id: ClassId, t: TargetSpec, fd: regions.FamilyDef) -> bool:
     """True where the radius condition is established for the class; every
-    other G2 cell is an extrapolation and needs the extended flag."""
-    return (class_id is ClassId.G1 or regions.FAMILIES[t.family].g2
+    other G2 cell is an extrapolation and needs the extended flag. fd is the
+    FamilyDef of the target's family."""
+    return (class_id is ClassId.G1 or fd.g2
             or (t.family is Family.STARLIKE_ORDER and t.alpha == 0.0))
 
 
@@ -65,7 +70,12 @@ def effective_variant(class_id: ClassId, t: TargetSpec,
     """The reading assemble_condition solves: the requested policy where it
     is one of the alternate first-class readings of the target's
     FamilyDef, and the corrected condition everywhere else."""
-    readings = regions.FAMILIES[t.family].readings if class_id is ClassId.G1 else ()
+    return _reading(class_id, regions.FAMILIES[t.family], policy)
+
+
+def _reading(class_id: ClassId, fd: regions.FamilyDef,
+             policy: Variant) -> Variant:
+    readings = fd.readings if class_id is ClassId.G1 else ()
     return policy if policy in readings else Variant.CENTER_CORRECTED
 
 
@@ -76,17 +86,18 @@ def assemble_condition(spec: ClassSpec, t: TargetSpec,
     radius for the given (class, target) pair, tagged with the reading it
     solves (effective_variant). The printed-proof reading is refused on
     every cell that does not have it."""
-    extrapolation = not _stated(spec.class_id, t)
+    fd = regions.FAMILIES[t.family]
+    extrapolation = not _stated(spec.class_id, t, fd)
     if extrapolation and not extended:
         raise UnsupportedCombinationError(
             f"target {t.family.value!r} is not stated for g2; "
             "pass extended=True to extrapolate")
-    variant = effective_variant(spec.class_id, t, policy)
+    variant = _reading(spec.class_id, fd, policy)
     if policy is Variant.PRINTED_PROOF and variant is not policy:
         raise ParameterError(f"{spec.class_id.value} {t.label()} has no "
                              "printed-proof reading")
 
-    affine = regions.FAMILIES[t.family].threshold
+    affine = fd.threshold
     if affine is None:  # RL: the threshold is not affine in the center
         printed_center = variant is not Variant.CENTER_CORRECTED
         return RadiusCondition(ConditionKind.COMPOSITE, variant,
@@ -111,8 +122,8 @@ def _no_root(cond: RadiusCondition, message: str, h0: float) -> NoRootError:
 
 def smallest_root_in_01(cond: RadiusCondition,
                         tol: float = _DEFAULT_TOL) -> RadiusResult:
-    """Locate the least r in (0, 1) with h(r) = 0: one evaluation of h on the
-    1e-3 grid finds the first grid point where h is not negative, and
+    """Locate the least r in (0, 1) with h(r) = 0: h on the 1e-3 grid, one
+    half at a time, gives the first grid point where h is not negative, and
     bisection of the step before it narrows the bracket to width <= tol. A
     NaN value of h is neither negative nor a sign change: it raises
     NoRootError."""
@@ -124,11 +135,14 @@ def smallest_root_in_01(cond: RadiusCondition,
             raise ParameterError(f"condition is nonnegative at r=0 (h(0)={h0!r})")
         raise _no_root(cond, "condition is NaN at r=0.0", h0)
 
-    h = cond(_GRID)
-    k = int(np.argmax(~(h < 0.0)))  # first grid point where h is not negative
-    if h[k] < 0.0:
+    for start, grid in _HALVES:
+        h = cond(grid)
+        k = int((h < 0.0).argmin())  # first grid point where h is not negative
+        if not h[k] < 0.0:
+            break
+    else:
         raise _no_root(cond, "no sign change in (0, 1)", h0)
-    lo, hi = k * _SCAN_STEP, (k + 1) * _SCAN_STEP
+    lo, hi = (start + k) * _SCAN_STEP, (start + k + 1) * _SCAN_STEP
     if h[k] != h[k]:
         raise _no_root(cond, f"condition is NaN at r={hi!r}", h0)
 
@@ -201,4 +215,4 @@ def supported_targets(class_id: ClassId, alpha: float = 0.0,
                       gamma: float = 0.5) -> List[TargetSpec]:
     """Declaration-order target list for a class (12 for G1, 9 for G2)."""
     targets = [default_target(f, alpha=alpha, gamma=gamma) for f in Family]
-    return [t for t in targets if _stated(class_id, t)]
+    return [t for t in targets if _stated(class_id, t, regions.FAMILIES[t.family])]

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -89,9 +90,17 @@ def _cstr(w: Optional[complex]) -> Optional[str]:
     return f"{w.real:.15g}{w.imag:+.15g}j"
 
 
+@lru_cache(maxsize=1)
+def _unit_circle(n: int) -> np.ndarray:
+    # the circle of the last sample count only, so a scan of 10**6 samples
+    # keeps no more than its own 16 MB array
+    u = np.exp(1j * (2.0 * math.pi * np.arange(n) / n))
+    u.setflags(write=False)
+    return u
+
+
 def _circle_points(center: float, radius: float, n: int) -> np.ndarray:
-    th = 2.0 * math.pi * np.arange(n) / n
-    return center + radius * np.exp(1j * th)
+    return center + radius * _unit_circle(n)
 
 
 def containment_scan(spec: ClassSpec, t: TargetSpec, rho: float,

@@ -1,13 +1,23 @@
-"""Point-by-point scan plus bisection for the smallest root in (0, 1).
+"""Point-by-point scan plus bisection for the smallest root in (0, 1), and
+the plain Horner loop for a polynomial condition.
 
-An oracle for the tests only: it walks the 1e-3 grid one scalar evaluation
-at a time until h stops being negative, then bisects, so the solver's
-whole-grid evaluation can be checked against it result for result and
-error for error."""
+Oracles for the tests only: the scan walks the 1e-3 grid one scalar
+evaluation at a time until h stops being negative, then bisects, so the
+solver's grid evaluation can be checked against it result for result and
+error for error; horner_loop is the evaluation that RadiusCondition unrolls."""
 
 from radstar.core import NoRootError, ParameterError, RadiusCondition, RadiusResult
 
 SCAN_STEP = 1e-3
+
+
+def horner_loop(coeffs, r):
+    """h(r) for ascending coefficients, one multiply-add per coefficient from
+    the highest degree down; r may be a float or an ndarray."""
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * r + c
+    return acc
 
 
 def _no_root(cond, message, h0):

@@ -91,6 +91,41 @@ def test_radius_bad_parameters_exit_code(capsys):
     assert code == 2 and out == "" and "alpha" in err
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["radius", "--class", "g1", "--b", "-1", "--target", "cardioid",
+      "--alpha", "0.5"], 2),
+    (["radius", "--class", "g1", "--b", "-1", "--target", "cardioid",
+      "--gamma", "0.2"], 2),
+    (["verify", "--class", "g1", "--b", "-1", "--targets", "cardioid",
+      "--alpha", "0.5"], 2),
+    (["sharpness", "--class", "g1", "--b", "-1", "--targets", "sine,lune",
+      "--gamma", "0.3"], 2),
+    (["table", "--class", "g1", "--targets", "lune", "--alpha", "0.3"], 2),
+    (["table", "--class", "g2", "--alpha", "0.3"], 2),  # starlike needs --extended
+    (["boundary", "--target", "cardioid", "--n", "8", "--gamma", "0.3"], 2),
+    (["radius", "--class", "g1", "--b", "-1", "--target", "starlike",
+      "--alpha", "0.3"], 0),
+    (["sharpness", "--class", "g1", "--b", "-1", "--targets", "sine,strongly",
+      "--gamma", "0.3"], 0),
+    (["table", "--class", "g1", "--alpha", "0.3"], 0),
+    (["table", "--class", "g2", "--alpha", "0.3", "--extended"], 0),
+    (["boundary", "--target", "starlike", "--n", "8", "--alpha", "0.2"], 0),
+], ids=["radius-alpha", "radius-gamma", "verify-alpha", "sharpness-gamma",
+        "table-alpha", "table-g2-alpha", "boundary-gamma", "radius-starlike",
+        "sharpness-strongly", "table-all", "table-g2-extended",
+        "boundary-starlike"])
+def test_order_option_no_target_takes_exit_code(argv, code, capsys):
+    # --alpha and --gamma are refused, not dropped, when no selected target
+    # has that order parameter
+    got, out, err = _main(argv, capsys)
+    assert got == code
+    if code == 2:
+        assert out == "" and err.count("\n") == 1
+        assert f"{argv[-2]} applies to none of the selected targets" in err
+    else:
+        assert out and err == ""
+
+
 def test_printed_variant_labels_the_reading_solved():
     # only g1 nephroid and g1 rl have a printed reading; every other cell
     # solves, and is labelled, the corrected condition

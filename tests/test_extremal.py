@@ -19,11 +19,14 @@ def _disk_samples(n, seed=42, radius=0.999):
 
 
 def test_normalization():
+    # f(z)/z -> 1 as z -> 0, across each witness's range of b
     z = 1e-8
     for eid in ExtremalId:
-        b = -1.0 if eid is not ExtremalId.F3 else -1.0
-        f = eval_extremal(eid, b, z)
-        assert abs(f / z - 1.0) < 1e-6, eid
+        bs = ((-1.0, -0.5, 0.0, 0.2, 1.0 / 3.0) if eid is ExtremalId.F3
+              else (-1.0, -0.5, -0.1, 0.0))
+        for b in bs:
+            f = eval_extremal(eid, b, z)
+            assert abs(f / z - 1.0) < 1e-6, (eid, b)
 
 
 def test_b_range_guard():

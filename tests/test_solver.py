@@ -1,18 +1,19 @@
 import math
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from radstar import bounds, regions, solver
-from radstar.core import (ClassId, ConditionKind, Family, NoRootError,
+from radstar.core import (MAX_COEFF_MAG, ClassId, ConditionKind, Family, NoRootError,
                           ParameterError, RadiusCondition, TargetSpec,
                           UnsupportedCombinationError, Variant,
                           class_from_coeff_mag, default_target, make_class)
 from radstar.solver import (assemble_condition, compute_radius, radius_table,
                             smallest_root_in_01, supported_targets)
-from scan_oracle import scan_smallest_root
+from scan_oracle import horner_loop, scan_smallest_root
 
 
 def _poly_condition(coeffs):
@@ -161,6 +162,27 @@ def test_g2_positive_order_requires_extended():
 # ---------------------------------------------------------------------------
 # Root isolation
 
+_COEFF = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e6, 1e6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_COEFF, min_size=1, max_size=5).map(tuple),
+       st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=8))
+@example((-0.0,) * 5, [0.0, 0.5])  # the loop's first 0.0 * r makes this +0.0
+def test_unrolled_horner_matches_loop(coeffs, rs):
+    # the evaluator built once per condition gives the loop's floats, signs
+    # of zero included, on scalars and on the whole scan grid
+    cond = _poly_condition(coeffs)
+    for r in rs:
+        assert struct.pack("<d", cond(r)) == struct.pack("<d", horner_loop(coeffs, r))
+    assert cond(solver._GRID).tobytes() == horner_loop(coeffs, solver._GRID).tobytes()
+
+
+def test_polynomial_degree_limited():
+    with pytest.raises(ParameterError, match="at most 5"):
+        _poly_condition([-1.0, 0.0, 0.0, 0.0, 0.0, 1.0])
+
+
 def test_root_simple_linear():
     res = smallest_root_in_01(_poly_condition([-0.25, 1.0]))
     assert res.rho == pytest.approx(0.25, abs=1e-12)
@@ -209,7 +231,7 @@ def test_grid_and_scalar_evaluation_agree():
     grid = solver._GRID
     assert grid.tolist() == [k * 1e-3 for k in range(1, 1000)]
     for class_id in ClassId:
-        max_mag = 1.0 if class_id is ClassId.G1 else 2.0
+        max_mag = MAX_COEFF_MAG[class_id]
         for frac in (0.0, 0.37, 1.0):
             spec = class_from_coeff_mag(class_id, frac * max_mag)
             for f in Family:
@@ -256,6 +278,27 @@ def test_root_matches_point_by_point_scan(roots, scale, nan_stretch):
     assert _outcome(smallest_root_in_01, cond) == _outcome(scan_smallest_root, cond)
 
 
+def _nan_from(a):
+    # -1 below a, NaN on [a, a + 0.1), +1 above
+    return _composite_condition(
+        lambda r: np.where(r < a, -1.0, np.where(r < a + 0.1, math.nan, 1.0)))
+
+
+@pytest.mark.parametrize("cond", [
+    _poly_condition([-0.5, 1.0]),     # 0.5 is the first half's last point
+    _poly_condition([-0.5005, 1.0]),  # 0.501 is the second half's first
+    _poly_condition([-0.9, 1.0]),
+    _nan_from(0.5),
+    _nan_from(0.501),
+    _poly_condition([-1.0]),          # no sign change
+], ids=["root-0.5", "root-0.5005", "root-0.9", "nan-0.5", "nan-0.501",
+        "no-root"])
+def test_half_grid_boundary_matches_scan(cond):
+    # the scan evaluates r <= 0.5 first and the rest only when h is negative
+    # on all of it; either way the outcome is the point-by-point scan's
+    assert _outcome(smallest_root_in_01, cond) == _outcome(scan_smallest_root, cond)
+
+
 def test_nonnegative_at_origin_rejected():
     with pytest.raises(ParameterError):
         smallest_root_in_01(_poly_condition([0.0, 1.0]))
@@ -299,7 +342,7 @@ def test_dense_scan_oracle_agreement():
 def test_residual_small_across_grid():
     for class_id in ClassId:
         for mag_frac in (0.0, 0.5, 1.0):
-            max_mag = 1.0 if class_id is ClassId.G1 else 2.0
+            max_mag = MAX_COEFF_MAG[class_id]
             spec = class_from_coeff_mag(class_id, mag_frac * max_mag)
             for t in supported_targets(class_id):
                 res = compute_radius(spec, t)
@@ -309,7 +352,7 @@ def test_residual_small_across_grid():
 
 def test_radius_decreases_with_coeff_mag():
     for class_id in ClassId:
-        max_mag = 1.0 if class_id is ClassId.G1 else 2.0
+        max_mag = MAX_COEFF_MAG[class_id]
         mags = np.linspace(0.0, max_mag, 9)
         for t in supported_targets(class_id):
             rhos = [compute_radius(class_from_coeff_mag(class_id, float(m)),
@@ -362,7 +405,7 @@ def test_gamma_one_matches_order_zero():
 def test_radius_puts_disk_on_threshold(class_id, frac, alpha, gamma):
     # at the computed radius the disk bound touches the containment
     # threshold, for every stated target and continuous parameters
-    max_mag = 1.0 if class_id is ClassId.G1 else 2.0
+    max_mag = MAX_COEFF_MAG[class_id]
     spec = class_from_coeff_mag(class_id, frac * max_mag)
     for t in supported_targets(class_id, alpha=alpha, gamma=gamma):
         d = bounds.disk(spec, compute_radius(spec, t).rho)
