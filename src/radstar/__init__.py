@@ -3,12 +3,12 @@ function classes, with exact-region verification oracles."""
 
 from .core import (ClassId, ClassSpec, DiskSpec, Family, RadiusCondition,
                    RadiusResult, TargetSpec, Variant, class_from_coeff_mag,
-                   default_target, make_class, target)
-from .bounds import HerglotzParams, disk, g1_disk, g2_disk, herglotz_logderiv_bound
+                   default_target, make_class)
+from .bounds import disk
 from .regions import containment_threshold, region_boundary, region_contains
 from .solver import assemble_condition, compute_radius, radius_table, smallest_root_in_01
 from .extremal import ExtremalId, eval_extremal, log_deriv, schwarz_eval
-from .verify import (adjudicate_variant, class_membership_check,
-                     containment_scan, sharpness_check, verify_cell)
+from .verify import (adjudicate_variant, containment_scan, sharpness_check,
+                     verify_cell)
 
 __version__ = "0.1.0"

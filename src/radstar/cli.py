@@ -70,10 +70,9 @@ def _emit_records(records: List[dict], fmt: str, out) -> None:
                         rec["status"]])
 
 
-def _standard_specs(class_id: ClassId, n: int = 11):
+def _standard_specs(class_id: ClassId):
     max_mag = MAX_COEFF_MAG[class_id]
-    return [class_from_coeff_mag(class_id, max_mag * k / (n - 1))
-            for k in range(n)]
+    return [class_from_coeff_mag(class_id, max_mag * k / 10) for k in range(11)]
 
 
 def _table_specs(class_id: ClassId, args):
@@ -175,7 +174,7 @@ def cmd_verify(args, out) -> int:
         rep = verify.verify_cell(spec, t, tol=args.tol,
                                  n_samples=args.n_samples)
         reports.append(rep.to_dict())
-        if not (rep.scan.inside_pass and rep.scan.outside_pass):
+        if not rep.scan.passed:
             failed = True
         sh = rep.sharpness
         if sh.applicable and args.b == -1.0 and not sh.ok:

@@ -83,11 +83,6 @@ class ClassSpec:
     b: float
     coeff_mag: float
 
-    @property
-    def second_coeff(self) -> float:
-        """The second Taylor coefficient of class members (4b or 3b)."""
-        return 4.0 * self.b if self.class_id is ClassId.G1 else 3.0 * self.b
-
 
 def make_class(class_id: ClassId, b: float) -> ClassSpec:
     """Build a ClassSpec, rejecting b outside the admissible interval."""
@@ -146,18 +141,15 @@ class TargetSpec:
         return self.family.value
 
 
-def target(family: Family, alpha: Optional[float] = None,
-           gamma: Optional[float] = None) -> TargetSpec:
-    return TargetSpec(family, alpha, gamma)
-
-
 @dataclass(frozen=True)
 class DiskSpec:
-    """Real center and radius of the disk containing zf'/f on |z| = r."""
+    """Real center and radius of the disk containing zf'/f on |z| = r, and
+    the denominator (1 - r^2)(r^2 + 2mr + 1) (g1) or (1 - r^2)(r^2 + mr + 1)
+    (g2) of the radius, by which the RL condition clears it."""
 
     center: float
     radius: float
-    r: float
+    den: float
 
 
 @dataclass(frozen=True)

@@ -49,18 +49,11 @@ def _quartic(class_id: ClassId, m: float, p: float,
 
 
 def _rl_evaluator(spec: ClassSpec, t: TargetSpec, printed_center: bool):
-    m = spec.coeff_mag
-    g1 = spec.class_id is ClassId.G1
-
     def h(r):
         d = bounds.disk(spec, r)
         c = 1.0 / (1.0 - r * r) if printed_center else d.center
         thr = regions.containment_threshold(t, c)  # never negative for RL
-        if g1:
-            den = (1.0 - r * r) * (r * r + 2.0 * m * r + 1.0)
-        else:
-            den = (1.0 - r * r) * (r * r + m * r + 1.0)
-        return d.radius * den - thr * den
+        return d.radius * d.den - thr * d.den
 
     return h
 
@@ -120,6 +113,11 @@ def _no_root(cond: RadiusCondition, message: str, h0: float) -> NoRootError:
     return NoRootError(message, h0, cond(1.0 - 1e-9))
 
 
+def _check_tol(tol: float) -> None:
+    if not (1e-15 <= tol <= 1e-6):
+        raise ParameterError(f"tol={tol!r} outside [1e-15, 1e-6]")
+
+
 def smallest_root_in_01(cond: RadiusCondition,
                         tol: float = _DEFAULT_TOL) -> RadiusResult:
     """Locate the least r in (0, 1) with h(r) = 0: h on the 1e-3 grid, one
@@ -127,8 +125,7 @@ def smallest_root_in_01(cond: RadiusCondition,
     bisection of the step before it narrows the bracket to width <= tol. A
     NaN value of h is neither negative nor a sign change: it raises
     NoRootError."""
-    if not (1e-15 <= tol <= 1e-6):
-        raise ParameterError(f"tol={tol!r} outside [1e-15, 1e-6]")
+    _check_tol(tol)
     h0 = cond(0.0)
     if not h0 < 0.0:
         if h0 >= 0.0:
@@ -192,7 +189,9 @@ def radius_table(class_id: ClassId, specs: Iterable[ClassSpec],
                  tol: float = _DEFAULT_TOL,
                  extended: bool = False) -> List[TableCell]:
     """Radius for each (b, target) cell; per-cell errors are recorded in the
-    cell instead of aborting. Rows come out b-ascending, targets in order."""
+    cell instead of aborting; a tol outside its range raises before any
+    cell. Rows come out b-ascending, targets in order."""
+    _check_tol(tol)
     specs = sorted(specs, key=lambda s: s.b)
     cells: List[TableCell] = []
     for spec in specs:

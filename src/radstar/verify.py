@@ -14,9 +14,13 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import bounds, regions, solver
-from .core import ClassId, ClassSpec, ParameterError, TargetSpec, Variant
-from .extremal import ExtremalId, log_deriv
+from .core import (ClassId, ClassSpec, ParameterError, RadiusResult,
+                   TargetSpec, Variant)
+from .extremal import log_deriv
 from .regions import MAX_SAMPLES
+
+# Disk samples of each containment scan unless the caller gives a count.
+_N_SAMPLES = 512
 
 
 @dataclass(frozen=True)
@@ -27,6 +31,10 @@ class ScanReport:
     outside_witness: Optional[complex]
     r_inside: float
     r_outside: float
+
+    @property
+    def passed(self) -> bool:
+        return self.inside_pass and self.outside_pass
 
 
 @dataclass(frozen=True)
@@ -104,7 +112,7 @@ def _circle_points(center: float, radius: float, n: int) -> np.ndarray:
 
 
 def containment_scan(spec: ClassSpec, t: TargetSpec, rho: float,
-                     n_samples: int = 512) -> ScanReport:
+                     n_samples: int = _N_SAMPLES) -> ScanReport:
     """Criterion 1: the disk bound just inside rho stays in the exact region.
     Criterion 2: just beyond rho a sampled disk point escapes. Both are
     gated for every family."""
@@ -152,40 +160,33 @@ def sharpness_check(spec: ClassSpec, t: TargetSpec, rho: float) -> SharpnessRepo
                            ok=abs(value - target_value) <= tol, tol=tol)
 
 
+def _report(spec: ClassSpec, t: TargetSpec, res: RadiusResult,
+            n_samples: int) -> VerificationReport:
+    return VerificationReport(
+        class_id=spec.class_id, b=spec.b, coeff_mag=spec.coeff_mag, target=t,
+        variant=res.variant, rho_used=res.rho,
+        scan=containment_scan(spec, t, res.rho, n_samples),
+        sharpness=sharpness_check(spec, t, res.rho))
+
+
 def verify_cell(spec: ClassSpec, t: TargetSpec, tol: float = 1e-12,
-                n_samples: int = 512) -> VerificationReport:
-    res = solver.compute_radius(spec, t, tol=tol)
-    scan = containment_scan(spec, t, res.rho, n_samples)
-    sharp = sharpness_check(spec, t, res.rho)
-    return VerificationReport(class_id=spec.class_id, b=spec.b,
-                              coeff_mag=spec.coeff_mag, target=t,
-                              variant=res.variant, rho_used=res.rho,
-                              scan=scan, sharpness=sharp)
+                n_samples: int = _N_SAMPLES) -> VerificationReport:
+    return _report(spec, t, solver.compute_radius(spec, t, tol=tol), n_samples)
 
 
 # ---------------------------------------------------------------------------
 # Variant adjudication
 
 @dataclass(frozen=True)
-class VariantOutcome:
-    variant: Variant
-    rho: float
-    inside_pass: bool
-    outside_pass: bool
-    sharpness_value: Optional[float]
-    consistent: bool
-
-
-@dataclass(frozen=True)
 class AdjudicationReport:
     class_id: ClassId
     b: float
     target: TargetSpec
-    outcomes: Tuple[VariantOutcome, ...]
+    outcomes: Tuple[VerificationReport, ...]  # corrected reading first
 
     @property
     def consistent_variants(self) -> List[Variant]:
-        return [o.variant for o in self.outcomes if o.consistent]
+        return [o.variant for o in self.outcomes if o.scan.passed]
 
     def to_dict(self) -> dict:
         return {
@@ -195,11 +196,11 @@ class AdjudicationReport:
             "outcomes": [
                 {
                     "variant": o.variant.value,
-                    "rho": o.rho,
-                    "inside_scan_pass": o.inside_pass,
-                    "just_outside_scan_pass": o.outside_pass,
-                    "sharpness_value": o.sharpness_value,
-                    "consistent": o.consistent,
+                    "rho": o.rho_used,
+                    "inside_scan_pass": o.scan.inside_pass,
+                    "just_outside_scan_pass": o.scan.outside_pass,
+                    "sharpness_value": o.sharpness.value,
+                    "consistent": o.scan.passed,
                 }
                 for o in self.outcomes
             ],
@@ -207,8 +208,7 @@ class AdjudicationReport:
         }
 
 
-def adjudicate_variant(spec: ClassSpec, t: TargetSpec,
-                       n_samples: int = 512) -> AdjudicationReport:
+def adjudicate_variant(spec: ClassSpec, t: TargetSpec) -> AdjudicationReport:
     """Compute the radius under the corrected reading and every alternate
     reading of a flagged first-class condition, and report which readings
     the exact region supports."""
@@ -216,43 +216,6 @@ def adjudicate_variant(spec: ClassSpec, t: TargetSpec,
     if spec.class_id is not ClassId.G1 or not readings:
         raise ParameterError(f"{spec.class_id.value} {t.label()} has no "
                              "alternate reading to adjudicate")
-    outcomes = []
-    for var in (Variant.CENTER_CORRECTED, *readings):
-        res = solver.compute_radius(spec, t, var)
-        scan = containment_scan(spec, t, res.rho, n_samples)
-        sharp = sharpness_check(spec, t, res.rho)
-        outcomes.append(VariantOutcome(
-            variant=var, rho=res.rho, inside_pass=scan.inside_pass,
-            outside_pass=scan.outside_pass,
-            sharpness_value=sharp.value if sharp.applicable else None,
-            consistent=bool(scan.inside_pass and scan.outside_pass)))
-    return AdjudicationReport(spec.class_id, spec.b, t, tuple(outcomes))
-
-
-# ---------------------------------------------------------------------------
-# Class membership sampling
-
-def _disk_samples(n: int, seed: int = 12345, radius: float = 0.999) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    r = radius * np.sqrt(rng.uniform(0.0, 1.0, n))
-    th = rng.uniform(0.0, 2.0 * math.pi, n)
-    return r * np.exp(1j * th)
-
-
-def class_membership_check(spec: ClassSpec, which: ExtremalId,
-                           n_samples: int = 10000,
-                           tol: float = 1e-12) -> bool:
-    """Sample the defining positive-real-part inequality for the witness
-    function on the open disk."""
-    from .extremal import eval_extremal
-    zs = _disk_samples(n_samples)
-    for z in zs:
-        z = complex(z)
-        fz = eval_extremal(which, spec.b, z)
-        if which is ExtremalId.F3:
-            val = (1.0 + z) * fz / z
-        else:
-            val = (1.0 + z) ** 2 * fz / z
-        if val.real <= -tol:
-            return False
-    return True
+    return AdjudicationReport(spec.class_id, spec.b, t, tuple(
+        _report(spec, t, solver.compute_radius(spec, t, var), _N_SAMPLES)
+        for var in (Variant.CENTER_CORRECTED, *readings)))

@@ -81,7 +81,7 @@ def test_criterion_4_exact_region_containment():
         rep = verify.containment_scan(spec, t, rho, n_samples=512)
         # every family has an exact membership predicate and a threshold
         # equal to the distance to its boundary, so both scans are gated
-        if not (rep.inside_pass and rep.outside_pass):
+        if not rep.passed:
             ok = False
     _report("4 containment scans (inside and just-outside, all cells gated)", ok)
 

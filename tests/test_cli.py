@@ -308,6 +308,9 @@ _BAD_GRID = [
     (["--mag-grid", ""], "not a comma-separated list"),
     (["--mag-grid", "0.5", "--b-steps", "3", "--b-start", "-1", "--b-end", "0"],
      "mutually exclusive"),
+    # checked once before any cell, not reported as an error in every cell
+    (["--tol", "1e-3"], "tol=0.001 outside [1e-15, 1e-6]"),
+    (["--tol", "nan"], "tol=nan outside [1e-15, 1e-6]"),
 ]
 
 
@@ -322,9 +325,14 @@ def test_table_bad_grid_options_exit_code(options, message, capsys):
 @pytest.mark.parametrize("argv, name", [
     (["table", "--class", "g1"], "table_g1.csv"),
     (["table", "--class", "g2", "--extended"], "table_g2_extended.csv"),
+    (["adjudicate", "--class", "g1", "--b", "-1", "--target", "nephroid"],
+     "adjudicate_g1_nephroid.json"),
+    (["adjudicate", "--class", "g1", "--b", "-1", "--target", "rl"],
+     "adjudicate_g1_rl.json"),
+    (["sharpness", "--class", "g2", "--b", "-1"], "sharpness_g2.json"),
 ])
 def test_table_output_byte_identical(argv, name, capsys):
-    # the recorded tables are the contract: radii, residuals and statuses
-    # must not move by a single printed digit
+    # the recorded outputs are the contract: radii, residuals, statuses and
+    # report fields must not move by a single printed digit
     assert cli.main(argv) == 0
     assert capsys.readouterr().out.encode() == (DATA / name).read_bytes()

@@ -1,5 +1,3 @@
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -50,11 +48,6 @@ def test_from_coeff_mag_representative():
     assert s.b == pytest.approx(-1.0 / 3.0)
     with pytest.raises(ParameterError):
         class_from_coeff_mag(ClassId.G1, 1.5)
-
-
-def test_second_coeff():
-    assert make_class(ClassId.G1, -1.0).second_coeff == -4.0
-    assert make_class(ClassId.G2, -1.0).second_coeff == -3.0
 
 
 def test_target_spec_validation():

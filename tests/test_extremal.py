@@ -98,7 +98,7 @@ def test_mobius_identity():
 
 def test_positive_real_part():
     zs = _disk_samples(3000, seed=6)
-    for b in (-1.0, -0.75, -0.5):
+    for b in (-1.0, -0.75, -0.7, -0.5):
         for z in zs:
             z = complex(z)
             v = (1.0 + z) ** 2 * eval_extremal(ExtremalId.F1, b, z) / z

@@ -6,11 +6,9 @@ import pytest
 
 from radstar import cli, regions, solver, verify
 from radstar.core import (ClassId, Family, ParameterError, TargetSpec, Variant,
-                          class_from_coeff_mag, default_target, make_class)
-from radstar.extremal import ExtremalId
-from radstar.regions import SQRT2
-from radstar.verify import (adjudicate_variant, class_membership_check,
-                            containment_scan, sharpness_check, verify_cell)
+                          default_target, make_class)
+from radstar.verify import (adjudicate_variant, containment_scan,
+                            sharpness_check, verify_cell)
 
 
 def test_scan_validates_inputs():
@@ -170,8 +168,8 @@ def test_adjudication_nephroid_supports_corrected_only():
     rep = adjudicate_variant(spec, default_target(Family.NEPHROID))
     assert len(rep.outcomes) == 3
     assert rep.consistent_variants == [Variant.CENTER_CORRECTED]
-    by_variant = {o.variant: o for o in rep.outcomes}
-    assert by_variant[Variant.CENTER_CORRECTED].inside_pass
+    by_variant = {o.variant: o.scan for o in rep.outcomes}
+    assert by_variant[Variant.CENTER_CORRECTED].passed
     # both printed readings overshoot: the disk already escapes below their root
     assert not by_variant[Variant.PRINTED].inside_pass
     assert not by_variant[Variant.PRINTED_PROOF].inside_pass
@@ -182,15 +180,6 @@ def test_adjudication_rl_variants():
     rep = adjudicate_variant(spec, default_target(Family.RATIONAL_RL))
     assert len(rep.outcomes) == 2
     by_variant = {o.variant: o for o in rep.outcomes}
-    assert by_variant[Variant.CENTER_CORRECTED].inside_pass
-    assert by_variant[Variant.PRINTED].rho != \
-        by_variant[Variant.CENTER_CORRECTED].rho
-
-
-def test_class_membership_sampling():
-    assert class_membership_check(make_class(ClassId.G1, -1.0), ExtremalId.F1,
-                                  n_samples=2000)
-    assert class_membership_check(make_class(ClassId.G1, -0.7), ExtremalId.F2,
-                                  n_samples=2000)
-    assert class_membership_check(make_class(ClassId.G2, -1.0), ExtremalId.F3,
-                                  n_samples=2000)
+    assert by_variant[Variant.CENTER_CORRECTED].scan.inside_pass
+    assert by_variant[Variant.PRINTED].rho_used != \
+        by_variant[Variant.CENTER_CORRECTED].rho_used
