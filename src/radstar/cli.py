@@ -12,14 +12,15 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import regions, solver, verify
-from .core import (MAX_COEFF_MAG, ClassId, Family, NoRootError, ParameterError,
-                   TargetSpec, UnsupportedCombinationError, Variant,
-                   default_target, make_class, class_from_coeff_mag)
+from .core import (CLASSES, ClassId, Family, NoRootError, ParameterError,
+                   RadiusResult, TargetSpec, UnsupportedCombinationError,
+                   Variant, default_target, make_class, class_from_coeff_mag)
 
 CSV_HEADER = ["class", "b", "coeff_mag", "target", "alpha", "gamma",
               "variant", "rho", "residual", "status"]
 
 _FAMILY_BY_NAME = {f.value: f for f in Family}
+_CLASS_NAMES = [c.value for c in ClassId]
 
 
 def _fmt(x: Optional[float]) -> str:
@@ -31,17 +32,17 @@ def _num(x: Optional[float]) -> Optional[float]:
     return None if x is None else float(f"{x:.15g}")
 
 
-def _parse_target(name: str, alpha: float = 0.0,
-                  gamma: float = 0.5) -> TargetSpec:
+def _parse_target(name: str, **order: float) -> TargetSpec:
     fam = _FAMILY_BY_NAME.get(name)
     if fam is None:
         raise ParameterError(f"unknown target {name!r}; choose from "
                              + ", ".join(sorted(_FAMILY_BY_NAME)))
-    return default_target(fam, alpha=alpha, gamma=gamma)
+    return default_target(fam, **order)
 
 
-def _record(spec, t: TargetSpec, variant: Variant, rho: Optional[float],
-            residual: Optional[float], status: str) -> dict:
+def _record(spec, t: TargetSpec, variant: Variant,
+            res: Optional[RadiusResult], status: str) -> dict:
+    rho, residual = (None, None) if res is None else (res.rho, res.residual)
     return {
         "class": spec.class_id.value,
         "b": _num(spec.b),
@@ -71,7 +72,7 @@ def _emit_records(records: List[dict], fmt: str, out) -> None:
 
 
 def _standard_specs(class_id: ClassId):
-    max_mag = MAX_COEFF_MAG[class_id]
+    max_mag = CLASSES[class_id].max_mag
     return [class_from_coeff_mag(class_id, max_mag * k / 10) for k in range(11)]
 
 
@@ -135,8 +136,7 @@ def cmd_radius(args, out) -> int:
     res = solver.compute_radius(spec, t, variant, args.tol,
                                 extended=args.extended)
     status = "EXTRAPOLATION" if res.extrapolation else "OK"
-    _emit_records([_record(spec, t, res.variant, res.rho, res.residual, status)],
-                  args.format, out)
+    _emit_records([_record(spec, t, res.variant, res, status)], args.format, out)
     return 0
 
 
@@ -147,21 +147,9 @@ def cmd_table(args, out) -> int:
     variant = Variant(args.variant)
     cells = solver.radius_table(class_id, specs, targets, variant, args.tol,
                                 extended=args.extended)
-    records = []
-    n_err = 0
-    for cell in cells:
-        if cell.result is None:
-            n_err += 1
-            records.append(_record(cell.spec, cell.target,
-                                   solver.effective_variant(class_id, cell.target,
-                                                            variant),
-                                   None, None, cell.status))
-        else:
-            records.append(_record(cell.spec, cell.target, cell.result.variant,
-                                   cell.result.rho, cell.result.residual,
-                                   cell.status))
-    _emit_records(records, args.format, out)
-    return 1 if cells and n_err == len(cells) else 0
+    _emit_records([_record(c.spec, c.target, c.variant, c.result, c.status)
+                   for c in cells], args.format, out)
+    return 1 if cells and all(c.result is None for c in cells) else 0
 
 
 def cmd_verify(args, out) -> int:
@@ -228,7 +216,7 @@ def cmd_boundary(args, out) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_class(p):
-    p.add_argument("--class", dest="klass", required=True, choices=["g1", "g2"])
+    p.add_argument("--class", dest="klass", required=True, choices=_CLASS_NAMES)
     p.add_argument("--b", type=float, required=True)
 
 
@@ -241,7 +229,7 @@ def _add_order(p):
 def _add_common(p):
     _add_class(p)
     _add_order(p)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=float, default=solver.DEFAULT_TOL)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -261,14 +249,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_radius)
 
     p = sub.add_parser("table", help="sweep a grid of b values and targets")
-    p.add_argument("--class", dest="klass", required=True, choices=["g1", "g2"])
+    p.add_argument("--class", dest="klass", required=True, choices=_CLASS_NAMES)
     p.add_argument("--targets", default="all")
     p.add_argument("--b-start", type=float, default=None)
     p.add_argument("--b-end", type=float, default=None)
     p.add_argument("--b-steps", type=int, default=None)
     p.add_argument("--mag-grid", default=None)
     _add_order(p)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=float, default=solver.DEFAULT_TOL)
     p.add_argument("--variant", choices=["corrected", "printed"],
                    default="corrected")
     p.add_argument("--format", choices=["json", "csv"], default="csv")
@@ -278,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the oracle suite for one b")
     _add_common(p)
     p.add_argument("--targets", default="all")
-    p.add_argument("--n-samples", type=int, default=512)
+    p.add_argument("--n-samples", type=int, default=verify.N_SAMPLES)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sharpness", help="boundary-contact checks for one b")

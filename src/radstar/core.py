@@ -69,10 +69,36 @@ class ConditionKind(enum.Enum):
     COMPOSITE = "composite"
 
 
-# Admissible real-parameter intervals on which the radius conditions hold.
-_B_RANGE = {ClassId.G1: (-1.0, 0.0), ClassId.G2: (-1.0, 1.0 / 3.0)}
-# Largest coefficient magnitude |1 + 2b| (G1) or |1 + 3b| (G2) on that interval.
-MAX_COEFF_MAG = {ClassId.G1: 1.0, ClassId.G2: 2.0}
+@dataclass(frozen=True)
+class ClassDef:
+    """Every per-class fact: the slope of the coefficient 1 + slope * b,
+    whose magnitude is all a radius depends on, and the interval
+    [b_lo, b_hi] of b on which the radius conditions hold."""
+
+    slope: int
+    b_lo: float
+    b_hi: float
+
+    @property
+    def max_mag(self) -> float:
+        """Largest coefficient magnitude on the interval."""
+        return max(abs(1 + self.slope * self.b_lo), abs(1 + self.slope * self.b_hi))
+
+
+# g1: (1+z)^2 f/z has positive real part, a2 = 4b; g2: (1+z) f/z, a2 = 3b.
+CLASSES = {ClassId.G1: ClassDef(2, -1.0, 0.0),
+           ClassId.G2: ClassDef(3, -1.0, 1.0 / 3.0)}
+
+
+def coefficient(class_id: ClassId, b):
+    """The signed coefficient 1 + slope * b of the class, rejecting b outside
+    its interval; exact for a rational b, which is checked as the nearest
+    float, so that Fraction(1, 3) is the upper end for g2."""
+    cd = CLASSES[class_id]
+    if not (cd.b_lo <= float(b) <= cd.b_hi):
+        raise ParameterError(f"b={b!r} outside admissible interval "
+                             f"[{cd.b_lo}, {cd.b_hi}] for {class_id.value}")
+    return 1 + cd.slope * b
 
 
 @dataclass(frozen=True)
@@ -86,31 +112,19 @@ class ClassSpec:
 
 def make_class(class_id: ClassId, b: float) -> ClassSpec:
     """Build a ClassSpec, rejecting b outside the admissible interval."""
-    lo, hi = _B_RANGE[class_id]
-    if not (lo <= b <= hi):
-        raise ParameterError(
-            f"b={b!r} outside admissible interval [{lo}, {hi}] for {class_id.value}"
-        )
-    if class_id is ClassId.G1:
-        mag = abs(1.0 + 2.0 * b)
-    else:
-        mag = abs(1.0 + 3.0 * b)
-    return ClassSpec(class_id, float(b), mag)
+    return ClassSpec(class_id, float(b), float(abs(coefficient(class_id, b))))
 
 
 def class_from_coeff_mag(class_id: ClassId, coeff_mag: float) -> ClassSpec:
-    """Build a ClassSpec from the magnitude alone, using the representative b <= -1/2 (G1)
-    or b <= -1/3 (G2); every radius depends on b only through the magnitude."""
-    max_mag = MAX_COEFF_MAG[class_id]
-    if not (0.0 <= coeff_mag <= max_mag):
+    """Build a ClassSpec from the magnitude alone, using the representative b
+    with a negative coefficient (b <= -1/2 for g1, b <= -1/3 for g2); every
+    radius depends on b only through the magnitude."""
+    cd = CLASSES[class_id]
+    if not (0.0 <= coeff_mag <= cd.max_mag):
         raise ParameterError(
-            f"coeff_mag={coeff_mag!r} outside [0, {max_mag}] for {class_id.value}"
+            f"coeff_mag={coeff_mag!r} outside [0, {cd.max_mag}] for {class_id.value}"
         )
-    if class_id is ClassId.G1:
-        b = -(1.0 + coeff_mag) / 2.0
-    else:
-        b = -(1.0 + coeff_mag) / 3.0
-    return ClassSpec(class_id, b, float(coeff_mag))
+    return ClassSpec(class_id, -(1.0 + coeff_mag) / cd.slope, float(coeff_mag))
 
 
 @dataclass(frozen=True)

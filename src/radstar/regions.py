@@ -7,7 +7,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Optional, Tuple
 
 import numpy as np
 
@@ -178,19 +178,20 @@ class FamilyDef:
     contact(t, v) = (functional value, claimed contact value) at v = zf'/f.
     sharp[class_id] = (witness, sign of the contact point, tolerance) for
     the classes whose radius for this domain is sharp.
-    g2: the radius condition is stated for the second class.
-    readings: the alternate printed readings of the first-class condition,
-    besides the corrected one; only flagged conditions have any.
+    classes: the classes for which the radius condition is stated (all by
+    default).
+    readings[class_id]: the alternate printed readings of the class's
+    condition, besides the corrected one; only flagged conditions have any.
     """
 
     mask: Callable[[TargetSpec, np.ndarray], np.ndarray]
     threshold: Optional[Callable[[TargetSpec], Tuple[float, float]]]
-    g2: bool
+    classes: FrozenSet[ClassId] = frozenset(ClassId)
     generator: Optional[Callable[[np.ndarray], np.ndarray]] = None
     boundary: Optional[Callable[[TargetSpec, int], np.ndarray]] = None
     contact: Optional[Callable[[TargetSpec, complex], Tuple[float, float]]] = None
     sharp: Dict[ClassId, Tuple[ExtremalId, int, float]] = field(default_factory=dict)
-    readings: Tuple[Variant, ...] = ()
+    readings: Dict[ClassId, Tuple[Variant, ...]] = field(default_factory=dict)
 
 
 FAMILIES: Dict[Family, FamilyDef] = {
@@ -200,7 +201,7 @@ FAMILIES: Dict[Family, FamilyDef] = {
         threshold=lambda t: (-t.alpha, 1.0),
         contact=lambda t, v: (v.real, t.alpha),
         sharp={ClassId.G1: (ExtremalId.F1, +1, _SHARP_TOL)},
-        g2=False),
+        classes=frozenset({ClassId.G1})),
     Family.LEMNISCATE: FamilyDef(
         # right loop only; |w^2-1| < 1 already excludes the imaginary axis
         mask=lambda t, w: (np.abs(w * w - 1.0) < 1.0) & (w.real > 0.0),
@@ -208,28 +209,27 @@ FAMILIES: Dict[Family, FamilyDef] = {
         threshold=lambda t: (SQRT2, -1.0),
         contact=lambda t, v: (abs(v * v - 1.0), 1.0),
         sharp={ClassId.G1: (ExtremalId.F2, -1, _SHARP_TOL)},
-        g2=False),
+        classes=frozenset({ClassId.G1})),
     Family.PARABOLIC: FamilyDef(
         mask=lambda t, w: np.abs(w - 1.0) < w.real,
         boundary=lambda t, n: _parabola_boundary(n),
         threshold=lambda t: (-0.5, 1.0),
         contact=lambda t, v: (v.real, abs(v - 1.0)),
         sharp={ClassId.G1: (ExtremalId.F1, +1, _SHARP_TOL)},
-        g2=False),
+        classes=frozenset({ClassId.G1})),
     Family.EXPONENTIAL: FamilyDef(
         mask=_exponential_mask,
         generator=np.exp,
         threshold=lambda t: (-1.0 / E, 1.0),
         contact=lambda t, v: (abs(cmath.log(v)), 1.0),
         sharp={ClassId.G1: (ExtremalId.F1, +1, _SHARP_TOL)},
-        g2=False),
+        classes=frozenset({ClassId.G1})),
     Family.CARDIOID: FamilyDef(
         mask=lambda t, w: cardioid_quartic(w.real, w.imag) < 0.0,
         generator=lambda z: (3.0 + 4.0 * z + 2.0 * z * z) / 3.0,
         threshold=lambda t: (-1.0 / 3.0, 1.0),
         contact=lambda t, v: (abs(v), 1.0 / 3.0),
-        sharp={ClassId.G1: (ExtremalId.F1, +1, _SHARP_TOL)},
-        g2=True),
+        sharp={ClassId.G1: (ExtremalId.F1, +1, _SHARP_TOL)}),
     Family.SINE: FamilyDef(
         # sin is univalent on the unit disk, whose image meets the real axis
         # only inside (-1, 1), away from the branch cuts of arcsin
@@ -238,33 +238,28 @@ FAMILIES: Dict[Family, FamilyDef] = {
         threshold=lambda t: (SIN1 + 1.0, -1.0),
         contact=lambda t, v: (abs(v), 1.0 + SIN1),
         sharp={ClassId.G1: (ExtremalId.F2, -1, _SHARP_TOL),
-               ClassId.G2: (ExtremalId.F3, -1, _SHARP_TOL)},
-        g2=True),
+               ClassId.G2: (ExtremalId.F3, -1, _SHARP_TOL)}),
     Family.LUNE: FamilyDef(
         # the image of z + sqrt(1 + z^2) is the right lobe of |w^2-1| < 2|w|
         # (Raina and Sokol, C. R. Math. Acad. Sci. Paris 353 (2015) 973-978)
         mask=lambda t, w: (np.abs(w * w - 1.0) < 2.0 * np.abs(w)) & (w.real > 0.0),
         boundary=lambda t, n: _lune_boundary(n),
-        threshold=lambda t: (1.0 - SQRT2, 1.0),
-        g2=True),
+        threshold=lambda t: (1.0 - SQRT2, 1.0)),
     Family.RATIONAL_R: FamilyDef(
         mask=_rational_mask,
         generator=lambda z: 1.0 + (z * (_K + z)) / (_K * (_K - z)),
         threshold=lambda t: (2.0 - 2.0 * SQRT2, 1.0),
         contact=lambda t, v: (abs(v), 2.0 * (SQRT2 - 1.0)),
-        sharp={ClassId.G1: (ExtremalId.F1, +1, _SHARP_TOL)},
-        g2=True),
+        sharp={ClassId.G1: (ExtremalId.F1, +1, _SHARP_TOL)}),
     Family.RATIONAL_RL: FamilyDef(
         mask=_rl_mask,
         generator=_rl_generator,
         threshold=None,
-        g2=True,
-        readings=(Variant.PRINTED,)),
+        readings={ClassId.G1: (Variant.PRINTED,)}),
     Family.STRONGLY_STARLIKE: FamilyDef(
         mask=lambda t, w: (w != 0.0) & (np.abs(np.angle(w)) < 0.5 * math.pi * t.gamma),
         boundary=lambda t, n: _sector_boundary(t.gamma, n),
-        threshold=lambda t: (0.0, math.sin(0.5 * math.pi * t.gamma)),
-        g2=True),
+        threshold=lambda t: (0.0, math.sin(0.5 * math.pi * t.gamma))),
     Family.NEPHROID: FamilyDef(
         mask=lambda t, w: nephroid_sextic(w.real, w.imag) < 0.0,
         generator=lambda z: 1.0 + z - z**3 / 3.0,
@@ -274,16 +269,14 @@ FAMILIES: Dict[Family, FamilyDef] = {
         # checked at the looser tolerance of variant adjudication
         sharp={ClassId.G1: (ExtremalId.F2, -1, 1e-4),
                ClassId.G2: (ExtremalId.F3, -1, _SHARP_TOL)},
-        g2=True,
-        readings=(Variant.PRINTED, Variant.PRINTED_PROOF)),
+        readings={ClassId.G1: (Variant.PRINTED, Variant.PRINTED_PROOF)}),
     Family.SIGMOID_SG: FamilyDef(
         mask=_sg_mask,
         generator=lambda z: 2.0 / (1.0 + np.exp(-z)),
         threshold=lambda t: (2.0 * E / (1.0 + E), -1.0),
         contact=lambda t, v: (abs(cmath.log(v / (2.0 - v))), 1.0),
         sharp={ClassId.G1: (ExtremalId.F2, -1, _SHARP_TOL),
-               ClassId.G2: (ExtremalId.F3, -1, _SHARP_TOL)},
-        g2=True),
+               ClassId.G2: (ExtremalId.F3, -1, _SHARP_TOL)}),
 }
 
 

@@ -4,7 +4,7 @@ isolation in (0, 1)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -21,31 +21,15 @@ _GRID = np.arange(1, 1000) * _SCAN_STEP
 # evaluates the first half of the grid, r <= 0.5, and the second half only
 # where h is negative on all of the first. Each half with its first index.
 _HALVES = ((0, _GRID[:500]), (500, _GRID[500:]))
-_DEFAULT_TOL = 1e-12
+DEFAULT_TOL = 1e-12
 
 
 def _stated(class_id: ClassId, t: TargetSpec, fd: regions.FamilyDef) -> bool:
     """True where the radius condition is established for the class; every
-    other G2 cell is an extrapolation and needs the extended flag. fd is the
+    other cell is an extrapolation and needs the extended flag. fd is the
     FamilyDef of the target's family."""
-    return (class_id is ClassId.G1 or fd.g2
+    return (class_id in fd.classes
             or (t.family is Family.STARLIKE_ORDER and t.alpha == 0.0))
-
-
-def _quartic(class_id: ClassId, m: float, p: float,
-             q: float) -> Tuple[float, ...]:
-    """Ascending coefficients of h = N - (p(1 - r^2) + q(1 + r^2)) X with
-    X = r^2 + 2mr + 1 and N = 2(1 + m) r (1 + r)^2 for G1, and of
-    h = N - (p(1 - r^2) + q) X with X = r^2 + mr + 1 and
-    N = (1 + m) r + (4 + m) r^2 + (1 + m) r^3 for G2. Each coefficient is
-    grouped as in the product expansion, so the floats match it bit for bit."""
-    if class_id is ClassId.G1:
-        n, m2 = 2.0 * (1.0 + m), 2.0 * m
-        return (-p - q, n - p * m2 - q * m2, 4.0 * (1.0 + m) - q * 2.0,
-                n + p * m2 - q * m2, p - q)
-    # 0.0 + p is +0.0 where p is -0.0 (starlike of order 0), as expanded
-    return (-p - q, 1.0 + m - p * m - q * m, 4.0 + m - q, 1.0 + m + p * m,
-            0.0 + p)
 
 
 def _rl_evaluator(spec: ClassSpec, t: TargetSpec, printed_center: bool):
@@ -58,17 +42,12 @@ def _rl_evaluator(spec: ClassSpec, t: TargetSpec, printed_center: bool):
     return h
 
 
-def effective_variant(class_id: ClassId, t: TargetSpec,
-                      policy: Variant) -> Variant:
-    """The reading assemble_condition solves: the requested policy where it
-    is one of the alternate first-class readings of the target's
-    FamilyDef, and the corrected condition everywhere else."""
-    return _reading(class_id, regions.FAMILIES[t.family], policy)
-
-
 def _reading(class_id: ClassId, fd: regions.FamilyDef,
              policy: Variant) -> Variant:
-    readings = fd.readings if class_id is ClassId.G1 else ()
+    """The reading assemble_condition solves: the requested policy where it
+    is one of the alternate readings the FamilyDef fd lists for the class,
+    and the corrected condition everywhere else."""
+    readings = fd.readings.get(class_id, ())
     return policy if policy in readings else Variant.CENTER_CORRECTED
 
 
@@ -77,7 +56,7 @@ def assemble_condition(spec: ClassSpec, t: TargetSpec,
                        extended: bool = False) -> RadiusCondition:
     """Build the scalar condition h(r) whose smallest zero in (0, 1) is the
     radius for the given (class, target) pair, tagged with the reading it
-    solves (effective_variant). The printed-proof reading is refused on
+    solves (_reading). The printed-proof reading is refused on
     every cell that does not have it."""
     fd = regions.FAMILIES[t.family]
     extrapolation = not _stated(spec.class_id, t, fd)
@@ -104,7 +83,7 @@ def assemble_condition(spec: ClassSpec, t: TargetSpec,
         # second alternate reading, derived with the uncorrected center
         coeffs = (-2.0, 2.0 * (3.0 + m), 15.0 + 12.0 * m, 6.0 + 16.0 * m, 5.0)
     else:
-        coeffs = _quartic(spec.class_id, m, *affine(t))
+        coeffs = bounds.quartic(spec.class_id, m, *affine(t))
     return RadiusCondition(ConditionKind.POLYNOMIAL, variant, coeffs=coeffs,
                            extrapolation=extrapolation)
 
@@ -119,7 +98,7 @@ def _check_tol(tol: float) -> None:
 
 
 def smallest_root_in_01(cond: RadiusCondition,
-                        tol: float = _DEFAULT_TOL) -> RadiusResult:
+                        tol: float = DEFAULT_TOL) -> RadiusResult:
     """Locate the least r in (0, 1) with h(r) = 0: h on the 1e-3 grid, one
     half at a time, gives the first grid point where h is not negative, and
     bisection of the step before it narrows the bracket to width <= tol. A
@@ -162,15 +141,23 @@ def smallest_root_in_01(cond: RadiusCondition,
 
 def compute_radius(spec: ClassSpec, t: TargetSpec,
                    policy: Variant = Variant.CENTER_CORRECTED,
-                   tol: float = _DEFAULT_TOL,
+                   tol: float = DEFAULT_TOL,
                    extended: bool = False) -> RadiusResult:
-    return smallest_root_in_01(assemble_condition(spec, t, policy, extended), tol)
+    """The radius of the cell to within tol, refused where tol does not
+    resolve it: a bracket wider than a thousandth of its lower end."""
+    res = smallest_root_in_01(assemble_condition(spec, t, policy, extended), tol)
+    lo, hi = res.bracket
+    if hi - lo > 1e-3 * lo:
+        raise ParameterError(f"radius {res.rho!r} is below what tol={tol!r} "
+                             "resolves")
+    return res
 
 
 @dataclass(frozen=True)
 class TableCell:
     spec: ClassSpec
     target: TargetSpec
+    variant: Variant  # the reading the cell solved, or would have solved
     result: Optional[RadiusResult]
     error: Optional[str]
 
@@ -186,7 +173,7 @@ class TableCell:
 def radius_table(class_id: ClassId, specs: Iterable[ClassSpec],
                  targets: Sequence[TargetSpec],
                  policy: Variant = Variant.CENTER_CORRECTED,
-                 tol: float = _DEFAULT_TOL,
+                 tol: float = DEFAULT_TOL,
                  extended: bool = False) -> List[TableCell]:
     """Radius for each (b, target) cell; per-cell errors are recorded in the
     cell instead of aborting; a tol outside its range raises before any
@@ -198,20 +185,21 @@ def radius_table(class_id: ClassId, specs: Iterable[ClassSpec],
         if spec.class_id is not class_id:
             raise ParameterError("spec/class mismatch in radius_table")
         for t in targets:
+            variant = _reading(class_id, regions.FAMILIES[t.family], policy)
             try:
                 res = compute_radius(spec, t, policy, tol, extended)
-                cells.append(TableCell(spec, t, res, None))
+                cells.append(TableCell(spec, t, variant, res, None))
             except NoRootError:
-                cells.append(TableCell(spec, t, None, "ERROR:no-root"))
+                cells.append(TableCell(spec, t, variant, None, "ERROR:no-root"))
             except ParameterError as exc:
                 kind = ("unsupported" if isinstance(exc, UnsupportedCombinationError)
                         else "parameter")
-                cells.append(TableCell(spec, t, None, f"ERROR:{kind}"))
+                cells.append(TableCell(spec, t, variant, None, f"ERROR:{kind}"))
     return cells
 
 
-def supported_targets(class_id: ClassId, alpha: float = 0.0,
-                      gamma: float = 0.5) -> List[TargetSpec]:
-    """Declaration-order target list for a class (12 for G1, 9 for G2)."""
-    targets = [default_target(f, alpha=alpha, gamma=gamma) for f in Family]
+def supported_targets(class_id: ClassId, **order: float) -> List[TargetSpec]:
+    """Declaration-order target list for a class (12 for g1, 9 for g2), with
+    the order parameters given and default_target's for the rest."""
+    targets = [default_target(f, **order) for f in Family]
     return [t for t in targets if _stated(class_id, t, regions.FAMILIES[t.family])]

@@ -20,7 +20,7 @@ from .extremal import log_deriv
 from .regions import MAX_SAMPLES
 
 # Disk samples of each containment scan unless the caller gives a count.
-_N_SAMPLES = 512
+N_SAMPLES = 512
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,7 @@ def _circle_points(center: float, radius: float, n: int) -> np.ndarray:
 
 
 def containment_scan(spec: ClassSpec, t: TargetSpec, rho: float,
-                     n_samples: int = _N_SAMPLES) -> ScanReport:
+                     n_samples: int = N_SAMPLES) -> ScanReport:
     """Criterion 1: the disk bound just inside rho stays in the exact region.
     Criterion 2: just beyond rho a sampled disk point escapes. Both are
     gated for every family."""
@@ -169,8 +169,9 @@ def _report(spec: ClassSpec, t: TargetSpec, res: RadiusResult,
         sharpness=sharpness_check(spec, t, res.rho))
 
 
-def verify_cell(spec: ClassSpec, t: TargetSpec, tol: float = 1e-12,
-                n_samples: int = _N_SAMPLES) -> VerificationReport:
+def verify_cell(spec: ClassSpec, t: TargetSpec,
+                tol: float = solver.DEFAULT_TOL,
+                n_samples: int = N_SAMPLES) -> VerificationReport:
     return _report(spec, t, solver.compute_radius(spec, t, tol=tol), n_samples)
 
 
@@ -210,12 +211,12 @@ class AdjudicationReport:
 
 def adjudicate_variant(spec: ClassSpec, t: TargetSpec) -> AdjudicationReport:
     """Compute the radius under the corrected reading and every alternate
-    reading of a flagged first-class condition, and report which readings
-    the exact region supports."""
-    readings = regions.FAMILIES[t.family].readings
-    if spec.class_id is not ClassId.G1 or not readings:
+    reading of a flagged condition, and report which readings the exact
+    region supports."""
+    readings = regions.FAMILIES[t.family].readings.get(spec.class_id)
+    if not readings:
         raise ParameterError(f"{spec.class_id.value} {t.label()} has no "
                              "alternate reading to adjudicate")
     return AdjudicationReport(spec.class_id, spec.b, t, tuple(
-        _report(spec, t, solver.compute_radius(spec, t, var), _N_SAMPLES)
+        _report(spec, t, solver.compute_radius(spec, t, var), N_SAMPLES)
         for var in (Variant.CENTER_CORRECTED, *readings)))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from radstar import bounds, cli, regions, solver, verify
-from radstar.core import (MAX_COEFF_MAG, ClassId, Family, TargetSpec, Variant,
+from radstar.core import (CLASSES, ClassId, Family, TargetSpec, Variant,
                           class_from_coeff_mag, default_target, make_class)
 from radstar.extremal import (ExtremalId, eval_extremal, log_deriv,
                               schwarz_eval, taylor_coefficients)
@@ -23,7 +23,7 @@ def _report(name, ok):
 
 
 def _grid(class_id):
-    max_mag = MAX_COEFF_MAG[class_id]
+    max_mag = CLASSES[class_id].max_mag
     return [class_from_coeff_mag(class_id, max_mag * k / 10) for k in range(11)]
 
 
@@ -182,14 +182,14 @@ def test_criterion_8_structural_symmetries():
                    - solver.compute_radius(s2, t).rho) > 1e-12:
                 ok = False
     for class_id in ClassId:
-        spec = class_from_coeff_mag(class_id, MAX_COEFF_MAG[class_id])
+        spec = class_from_coeff_mag(class_id, CLASSES[class_id].max_mag)
         r_sector = solver.compute_radius(
             spec, TargetSpec(Family.STRONGLY_STARLIKE, gamma=1.0)).rho
         r_half = solver.compute_radius(
             spec, TargetSpec(Family.STARLIKE_ORDER, alpha=0.0)).rho
         if abs(r_sector - r_half) > 1e-10:
             ok = False
-        max_mag = MAX_COEFF_MAG[class_id]
+        max_mag = CLASSES[class_id].max_mag
         for t in solver.supported_targets(class_id):
             rhos = [solver.compute_radius(
                 class_from_coeff_mag(class_id, max_mag * k / 6), t).rho

@@ -314,6 +314,20 @@ _BAD_GRID = [
 ]
 
 
+@pytest.mark.parametrize("order", [["strongly", "--gamma", "1e-300"],
+                                   ["starlike", "--alpha", "0.9999999999"]])
+def test_unresolved_radius_exit_code(order, capsys):
+    # a radius below what the tolerance resolves is refused, not printed
+    # as OK with no correct digit
+    code, out, err = _main(["radius", "--class", "g1", "--b", "-1",
+                            "--target", *order], capsys)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "is below what tol=1e-12 resolves" in err
+    code, out, err = _main(["table", "--class", "g1", "--mag-grid", "1",
+                            "--targets", *order], capsys)
+    assert code == 1 and out.splitlines()[1].endswith(",,,ERROR:parameter")
+
+
 @pytest.mark.parametrize("options, message", _BAD_GRID,
                          ids=[" ".join(o) for o, _ in _BAD_GRID])
 def test_table_bad_grid_options_exit_code(options, message, capsys):
@@ -330,6 +344,11 @@ def test_table_bad_grid_options_exit_code(options, message, capsys):
     (["adjudicate", "--class", "g1", "--b", "-1", "--target", "rl"],
      "adjudicate_g1_rl.json"),
     (["sharpness", "--class", "g2", "--b", "-1"], "sharpness_g2.json"),
+    # raw log_deriv values of F1, F2 and F3 at b inside the intervals
+    (["verify", "--class", "g1", "--b", "-0.7", "--targets",
+      "starlike,lemniscate,sine,nephroid"], "verify_g1_b-0.7.json"),
+    (["verify", "--class", "g2", "--b", "-0.6", "--targets", "sine,nephroid,sg"],
+     "verify_g2_b-0.6.json"),
 ])
 def test_table_output_byte_identical(argv, name, capsys):
     # the recorded outputs are the contract: radii, residuals, statuses and

@@ -5,7 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from radstar.core import EvaluationError, ParameterError
+from radstar.core import (CLASSES, ClassId, EvaluationError, ParameterError,
+                          make_class)
 from radstar.extremal import (ExtremalId, eval_extremal, log_deriv,
                               schwarz_eval, series_quotient,
                               taylor_coefficients)
@@ -35,6 +36,30 @@ def test_b_range_guard():
     with pytest.raises(ParameterError):
         eval_extremal(ExtremalId.F3, 0.4, 0.5)
     eval_extremal(ExtremalId.F3, 1.0 / 3.0, 0.5)
+
+
+@pytest.mark.parametrize("eid, class_id, bad", [
+    (ExtremalId.F1, ClassId.G1, 4e-13),
+    (ExtremalId.F2, ClassId.G1, 4e-13),
+    (ExtremalId.F3, ClassId.G2, math.nextafter(1.0 / 3.0, 1.0)),
+    (ExtremalId.F3, ClassId.G2, math.nextafter(-1.0, -2.0)),
+])
+def test_witnesses_take_the_class_interval(eid, class_id, bad):
+    # the witnesses refuse exactly the b that make_class refuses
+    index = int(eid.value[1])
+    with pytest.raises(ParameterError):
+        make_class(class_id, bad)
+    for fn in (eval_extremal, log_deriv):
+        with pytest.raises(ParameterError, match="admissible interval"):
+            fn(eid, bad, 0.5)
+    with pytest.raises(ParameterError, match="admissible interval"):
+        schwarz_eval(index, bad, 0.5)
+    cd = CLASSES[class_id]
+    for b in (cd.b_lo, cd.b_hi):
+        make_class(class_id, b)
+        eval_extremal(eid, b, 0.5)
+        log_deriv(eid, b, 0.5)
+        schwarz_eval(index, b, 0.5)
 
 
 def test_pole_raises():

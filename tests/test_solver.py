@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from radstar import bounds, regions, solver
-from radstar.core import (MAX_COEFF_MAG, ClassId, ConditionKind, Family, NoRootError,
+from radstar.core import (CLASSES, ClassId, ConditionKind, Family, NoRootError,
                           ParameterError, RadiusCondition, TargetSpec,
                           UnsupportedCombinationError, Variant,
                           class_from_coeff_mag, default_target, make_class)
@@ -121,7 +121,7 @@ def test_quartic_is_the_product_form():
         h2 = ((1.0 + m) * r + (4.0 + m) * r * r + (1.0 + m) * r ** 3
               - (p * (1.0 - r * r) + q) * x2)
         for class_id, h in ((ClassId.G1, h1), (ClassId.G2, h2)):
-            cond = _poly_condition(solver._quartic(class_id, m, p, q))
+            cond = _poly_condition(bounds.quartic(class_id, m, p, q))
             assert cond(r) == pytest.approx(h, rel=1e-12, abs=1e-12), class_id
 
 
@@ -231,7 +231,7 @@ def test_grid_and_scalar_evaluation_agree():
     grid = solver._GRID
     assert grid.tolist() == [k * 1e-3 for k in range(1, 1000)]
     for class_id in ClassId:
-        max_mag = MAX_COEFF_MAG[class_id]
+        max_mag = CLASSES[class_id].max_mag
         for frac in (0.0, 0.37, 1.0):
             spec = class_from_coeff_mag(class_id, frac * max_mag)
             for f in Family:
@@ -342,7 +342,7 @@ def test_dense_scan_oracle_agreement():
 def test_residual_small_across_grid():
     for class_id in ClassId:
         for mag_frac in (0.0, 0.5, 1.0):
-            max_mag = MAX_COEFF_MAG[class_id]
+            max_mag = CLASSES[class_id].max_mag
             spec = class_from_coeff_mag(class_id, mag_frac * max_mag)
             for t in supported_targets(class_id):
                 res = compute_radius(spec, t)
@@ -352,7 +352,7 @@ def test_residual_small_across_grid():
 
 def test_radius_decreases_with_coeff_mag():
     for class_id in ClassId:
-        max_mag = MAX_COEFF_MAG[class_id]
+        max_mag = CLASSES[class_id].max_mag
         mags = np.linspace(0.0, max_mag, 9)
         for t in supported_targets(class_id):
             rhos = [compute_radius(class_from_coeff_mag(class_id, float(m)),
@@ -405,7 +405,7 @@ def test_gamma_one_matches_order_zero():
 def test_radius_puts_disk_on_threshold(class_id, frac, alpha, gamma):
     # at the computed radius the disk bound touches the containment
     # threshold, for every stated target and continuous parameters
-    max_mag = MAX_COEFF_MAG[class_id]
+    max_mag = CLASSES[class_id].max_mag
     spec = class_from_coeff_mag(class_id, frac * max_mag)
     for t in supported_targets(class_id, alpha=alpha, gamma=gamma):
         d = bounds.disk(spec, compute_radius(spec, t).rho)
