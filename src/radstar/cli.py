@@ -19,56 +19,52 @@ from .core import (CLASSES, ClassId, Family, NoRootError, ParameterError,
 CSV_HEADER = ["class", "b", "coeff_mag", "target", "alpha", "gamma",
               "variant", "rho", "residual", "status"]
 
-_FAMILY_BY_NAME = {f.value: f for f in Family}
 _CLASS_NAMES = [c.value for c in ClassId]
 
 
-def _fmt(x: Optional[float]) -> str:
-    return "" if x is None else f"{x:.15g}"
+def _fmt(x) -> str:
+    """A CSV cell: "" for None, text as is, a number to 15 significant digits."""
+    return "" if x is None else x if isinstance(x, str) else f"{x:.15g}"
 
 
-def _num(x: Optional[float]) -> Optional[float]:
+def _num(x):
     # round through the printed representation so CSV and JSON agree exactly
-    return None if x is None else float(f"{x:.15g}")
+    return x if x is None or isinstance(x, str) else float(_fmt(x))
+
+
+def _json(obj, out) -> None:
+    json.dump(obj, out, indent=2)
+    out.write("\n")
+
+
+def _csv(header: List[str], rows, out) -> None:
+    w = csv.writer(out, lineterminator="\n")
+    w.writerow(header)
+    w.writerows([_fmt(x) for x in row] for row in rows)
 
 
 def _parse_target(name: str, **order: float) -> TargetSpec:
-    fam = _FAMILY_BY_NAME.get(name)
-    if fam is None:
+    try:
+        fam = Family(name)
+    except ValueError:
         raise ParameterError(f"unknown target {name!r}; choose from "
-                             + ", ".join(sorted(_FAMILY_BY_NAME)))
+                             + ", ".join(sorted(f.value for f in Family))) from None
     return default_target(fam, **order)
 
 
 def _record(spec, t: TargetSpec, variant: Variant,
-            res: Optional[RadiusResult], status: str) -> dict:
+            res: Optional[RadiusResult], status: str) -> list:
+    """A table row, its raw values in CSV_HEADER order."""
     rho, residual = (None, None) if res is None else (res.rho, res.residual)
-    return {
-        "class": spec.class_id.value,
-        "b": _num(spec.b),
-        "coeff_mag": _num(spec.coeff_mag),
-        "target": t.label(),
-        "alpha": _num(t.alpha),
-        "gamma": _num(t.gamma),
-        "variant": variant.value,
-        "rho": _num(rho),
-        "residual": _num(residual),
-        "status": status,
-    }
+    return [spec.class_id.value, spec.b, spec.coeff_mag, t.label(), t.alpha,
+            t.gamma, variant.value, rho, residual, status]
 
 
-def _emit_records(records: List[dict], fmt: str, out) -> None:
+def _emit_records(rows: List[list], fmt: str, out) -> None:
     if fmt == "json":
-        json.dump(records, out, indent=2)
-        out.write("\n")
+        _json([dict(zip(CSV_HEADER, map(_num, row))) for row in rows], out)
     else:
-        w = csv.writer(out, lineterminator="\n")
-        w.writerow(CSV_HEADER)
-        for rec in records:
-            w.writerow([rec["class"], _fmt(rec["b"]), _fmt(rec["coeff_mag"]),
-                        rec["target"], _fmt(rec["alpha"]), _fmt(rec["gamma"]),
-                        rec["variant"], _fmt(rec["rho"]), _fmt(rec["residual"]),
-                        rec["status"]])
+        _csv(CSV_HEADER, rows, out)
 
 
 def _standard_specs(class_id: ClassId):
@@ -98,7 +94,9 @@ def _table_specs(class_id: ClassId, args):
     if not 1 <= args.b_steps <= regions.MAX_SAMPLES:
         raise ParameterError(
             f"--b-steps {args.b_steps} outside [1, {regions.MAX_SAMPLES}]")
-    bs = [args.b_start] if args.b_steps == 1 else np.linspace(*ends, args.b_steps)
+    # plain floats, so a refused b reads b=-2.0 rather than np.float64(-2.0)
+    bs = ([args.b_start] if args.b_steps == 1
+          else np.linspace(*ends, args.b_steps).tolist())
     return [make_class(class_id, b) for b in bs]
 
 
@@ -155,20 +153,13 @@ def cmd_table(args, out) -> int:
 def cmd_verify(args, out) -> int:
     class_id = ClassId(args.klass)
     spec = make_class(class_id, args.b)
-    targets = _targets(args, class_id)
-    failed = False
-    reports = []
-    for t in targets:
-        rep = verify.verify_cell(spec, t, tol=args.tol,
-                                 n_samples=args.n_samples)
-        reports.append(rep.to_dict())
-        if not rep.scan.passed:
-            failed = True
-        sh = rep.sharpness
-        if sh.applicable and args.b == -1.0 and not sh.ok:
-            failed = True
-    json.dump(reports, out, indent=2)
-    out.write("\n")
+    reports = [verify.verify_cell(spec, t, tol=args.tol, n_samples=args.n_samples)
+               for t in _targets(args, class_id)]
+    _json([rep.to_dict() for rep in reports], out)
+    at_b_lo = spec.b == CLASSES[class_id].b_lo
+    failed = any(not rep.scan.passed or (at_b_lo and rep.sharpness.applicable
+                                         and not rep.sharpness.ok)
+                 for rep in reports)
     return 1 if failed else 0
 
 
@@ -188,16 +179,14 @@ def cmd_sharpness(args, out) -> int:
             "value": _num(sh.value), "contact": _num(sh.target_value),
             "ok": sh.ok,
         })
-    json.dump(reports, out, indent=2)
-    out.write("\n")
+    _json(reports, out)
     return 0
 
 
 def cmd_adjudicate(args, out) -> int:
     spec = make_class(ClassId(args.klass), args.b)
     rep = verify.adjudicate_variant(spec, _parse_target(args.target))
-    json.dump(rep.to_dict(), out, indent=2)
-    out.write("\n")
+    _json(rep.to_dict(), out)
     return 0
 
 
@@ -205,19 +194,17 @@ def cmd_boundary(args, out) -> int:
     t, = _targets(args)
     pts = regions.region_boundary(t, args.n)
     th = regions.boundary_parameters(t, args.n)
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(["theta", "re", "im"])
-    for k in range(args.n):
-        w.writerow([_fmt(float(th[k])), _fmt(float(pts[k].real)),
-                    _fmt(float(pts[k].imag))])
+    _csv(["theta", "re", "im"],
+         zip(th.tolist(), pts.real.tolist(), pts.imag.tolist()), out)
     return 0
 
 
 # ---------------------------------------------------------------------------
 
-def _add_class(p):
+def _add_class(p, b: bool = True):
     p.add_argument("--class", dest="klass", required=True, choices=_CLASS_NAMES)
-    p.add_argument("--b", type=float, required=True)
+    if b:
+        p.add_argument("--b", type=float, required=True)
 
 
 def _add_order(p):
@@ -226,10 +213,17 @@ def _add_order(p):
     p.add_argument("--gamma", type=float, default=None)
 
 
-def _add_common(p):
-    _add_class(p)
+def _add_common(p, b: bool = True):
+    _add_class(p, b)
     _add_order(p)
     p.add_argument("--tol", type=float, default=solver.DEFAULT_TOL)
+
+
+def _add_output(p, fmt: str):
+    p.add_argument("--variant", choices=["corrected", "printed"],
+                   default="corrected")
+    p.add_argument("--format", choices=["json", "csv"], default=fmt)
+    p.add_argument("--extended", action="store_true")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -242,25 +236,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("radius", help="compute a single radius")
     _add_common(p)
     p.add_argument("--target", required=True)
-    p.add_argument("--variant", choices=["corrected", "printed"],
-                   default="corrected")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--extended", action="store_true")
+    _add_output(p, "json")
     p.set_defaults(func=cmd_radius)
 
     p = sub.add_parser("table", help="sweep a grid of b values and targets")
-    p.add_argument("--class", dest="klass", required=True, choices=_CLASS_NAMES)
+    _add_common(p, b=False)
     p.add_argument("--targets", default="all")
     p.add_argument("--b-start", type=float, default=None)
     p.add_argument("--b-end", type=float, default=None)
     p.add_argument("--b-steps", type=int, default=None)
     p.add_argument("--mag-grid", default=None)
-    _add_order(p)
-    p.add_argument("--tol", type=float, default=solver.DEFAULT_TOL)
-    p.add_argument("--variant", choices=["corrected", "printed"],
-                   default="corrected")
-    p.add_argument("--format", choices=["json", "csv"], default="csv")
-    p.add_argument("--extended", action="store_true")
+    _add_output(p, "csv")
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("verify", help="run the oracle suite for one b")

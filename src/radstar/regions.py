@@ -86,12 +86,17 @@ def _rl_generator(z):
 # ---------------------------------------------------------------------------
 # Boundary sampling
 
+def _two_pieces(n: int, first, second) -> np.ndarray:
+    """n samples of a curve in two pieces, each given as a function of its
+    sample count; the sample where the pieces join is kept once."""
+    m1 = (n - 1) // 2
+    return np.concatenate([first(m1 + 1), second(n - m1)[1:]])
+
+
 def _anchored_angles(n: int) -> np.ndarray:
     """n angles covering [0, 2*pi] and always containing 0, pi and 2*pi."""
-    m1 = (n - 1) // 2
-    m2 = (n - 1) - m1
-    return np.concatenate([np.linspace(0.0, math.pi, m1 + 1),
-                           np.linspace(math.pi, 2.0 * math.pi, m2 + 1)[1:]])
+    return _two_pieces(n, lambda k: np.linspace(0.0, math.pi, k),
+                       lambda k: np.linspace(math.pi, 2.0 * math.pi, k))
 
 
 def _anchored_circle(n: int) -> np.ndarray:
@@ -107,13 +112,10 @@ def _anchored_circle(n: int) -> np.ndarray:
 
 def _halfplane_boundary(alpha: float, n: int) -> np.ndarray:
     t_max = math.sqrt(max(_TRUNC**2 - alpha**2, 1.0))
-    m1 = (n - 1) // 2
-    m2 = (n - 1) - m1
-    seg = alpha + 1j * np.linspace(-t_max, t_max, m1 + 1)
-    phi = np.linspace(math.pi / 2.0, -math.pi / 2.0, m2 + 1)[1:]
-    r_arc = abs(complex(alpha, t_max) - alpha)
-    cap = alpha + r_arc * np.exp(1j * phi)
-    return np.concatenate([seg, cap])
+    return _two_pieces(
+        n, lambda k: alpha + 1j * np.linspace(-t_max, t_max, k),
+        lambda k: alpha + t_max * np.exp(
+            1j * np.linspace(math.pi / 2.0, -math.pi / 2.0, k)))
 
 
 def _sector_boundary(gamma: float, n: int) -> np.ndarray:
@@ -132,31 +134,26 @@ def _parabola_boundary(n: int) -> np.ndarray:
     # corner where the parabola meets |w| = _TRUNC: x^2 + 2x - 1 = _TRUNC^2
     x_end = -1.0 + math.sqrt(2.0 + _TRUNC**2)
     y_end = math.sqrt(2.0 * x_end - 1.0)
-    m1 = (n - 1) // 2
-    m2 = (n - 1) - m1
-    y = np.linspace(-y_end, y_end, m1 + 1)
-    seg = (1.0 + y * y) / 2.0 + 1j * y
     phi0 = math.atan2(y_end, x_end)
-    phi = np.linspace(phi0, -phi0, m2 + 1)[1:]
-    cap = _TRUNC * np.exp(1j * phi)
-    return np.concatenate([seg, cap])
+
+    def seg(k):
+        y = np.linspace(-y_end, y_end, k)
+        return (1.0 + y * y) / 2.0 + 1j * y
+
+    return _two_pieces(
+        n, seg, lambda k: _TRUNC * np.exp(1j * np.linspace(phi0, -phi0, k)))
 
 
 def _lune_boundary(n: int) -> np.ndarray:
     # Right lobe of {|w^2-1| = 2|w|}: rho^2 = (2+cos 2t) +/- sqrt((2+cos 2t)^2-1),
     # the two branches meeting at w = +/- i.
-    m1 = (n - 1) // 2
-    m2 = (n - 1) - m1
-    t_out = np.linspace(-math.pi / 2.0, math.pi / 2.0, m1 + 1)
-    t_in = np.linspace(math.pi / 2.0, -math.pi / 2.0, m2 + 1)[1:]
-
-    def rho(t, sign):
+    def branch(sign, k):
+        t = np.linspace(-sign * math.pi / 2.0, sign * math.pi / 2.0, k)
         a = 2.0 + np.cos(2.0 * t)
-        return np.sqrt(a + sign * np.sqrt(np.maximum(a * a - 1.0, 0.0)))
+        rho = np.sqrt(a + sign * np.sqrt(np.maximum(a * a - 1.0, 0.0)))
+        return rho * np.exp(1j * t)
 
-    outer = rho(t_out, +1.0) * np.exp(1j * t_out)
-    inner = rho(t_in, -1.0) * np.exp(1j * t_in)
-    return np.concatenate([outer, inner])
+    return _two_pieces(n, lambda k: branch(1.0, k), lambda k: branch(-1.0, k))
 
 
 # ---------------------------------------------------------------------------

@@ -311,6 +311,9 @@ _BAD_GRID = [
     # checked once before any cell, not reported as an error in every cell
     (["--tol", "1e-3"], "tol=0.001 outside [1e-15, 1e-6]"),
     (["--tol", "nan"], "tol=nan outside [1e-15, 1e-6]"),
+    # b is named as a plain float, not as a numpy scalar
+    (["--b-start", "-2", "--b-end", "0", "--b-steps", "3"],
+     "b=-2.0 outside admissible interval"),
 ]
 
 
@@ -349,6 +352,10 @@ def test_table_bad_grid_options_exit_code(options, message, capsys):
       "starlike,lemniscate,sine,nephroid"], "verify_g1_b-0.7.json"),
     (["verify", "--class", "g2", "--b", "-0.6", "--targets", "sine,nephroid,sg"],
      "verify_g2_b-0.6.json"),
+    (["table", "--class", "g1", "--variant", "printed"], "table_g1_printed.csv"),
+    # JSON rows: null rho and residual in an unsupported cell, alpha 0.0
+    (["table", "--class", "g2", "--mag-grid", "0,2", "--targets",
+      "starlike,parabolic,rl", "--format", "json"], "table_g2_mag_grid.json"),
 ])
 def test_table_output_byte_identical(argv, name, capsys):
     # the recorded outputs are the contract: radii, residuals, statuses and
