@@ -14,7 +14,8 @@ import numpy as np
 from . import regions, solver, verify
 from .core import (CLASSES, ClassId, Family, NoRootError, ParameterError,
                    RadiusResult, TargetSpec, UnsupportedCombinationError,
-                   Variant, default_target, make_class, class_from_coeff_mag)
+                   Variant, default_target, make_class, class_from_coeff_mag,
+                   coefficient)
 
 CSV_HEADER = ["class", "b", "coeff_mag", "target", "alpha", "gamma",
               "variant", "rho", "residual", "status"]
@@ -97,7 +98,9 @@ def _table_specs(class_id: ClassId, args):
     # plain floats, so a refused b reads b=-2.0 rather than np.float64(-2.0)
     bs = ([args.b_start] if args.b_steps == 1
           else np.linspace(*ends, args.b_steps).tolist())
-    return [make_class(class_id, b) for b in bs]
+    specs = [make_class(class_id, b) for b in bs]
+    coefficient(class_id, args.b_end)  # checked though one step leaves it out
+    return specs
 
 
 def _targets(args, class_id: Optional[ClassId] = None,

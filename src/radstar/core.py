@@ -3,13 +3,8 @@
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import repeat
 from typing import Callable, Optional, Tuple
-
-import numpy as np
 
 
 class ParameterError(ValueError):
@@ -170,18 +165,17 @@ class DiskSpec:
 class RadiusCondition:
     """Scalar condition h on [0, 1); containment holds while h(r) <= 0.
 
-    h takes a float r or an ndarray of r. On an ndarray it returns the array
-    of the values it returns for each element as a float, bit for bit: the
-    solver finds the sign change on a whole grid at once and bisects with
-    scalar calls. A composite evaluator keeps that contract by writing its
-    formula once for both, taking x ** n of an ndarray from array_pow. A
-    polynomial condition is evaluated by Horner's rule, unrolled once here."""
+    h takes a float r; a polynomial condition is evaluated by Horner's rule,
+    unrolled once here. monotone_signs states that the float signs of h on
+    the solver's scan grid change once, from negative to nonnegative, as an
+    analytic argument proves for the conditions assemble_condition sets it on."""
 
     kind: ConditionKind
     variant: Variant
     coeffs: Optional[Tuple[float, ...]] = None  # ascending by degree
     evaluator: Optional[Callable[[float], float]] = None
     extrapolation: bool = False
+    monotone_signs: bool = False
     _h: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -207,24 +201,6 @@ def _horner(coeffs: Tuple[float, ...]) -> Callable[[float], float]:
         return (((a4 * r + c3) * r + c2) * r + c1) * r + c0
 
     return h
-
-
-def array_pow(x: np.ndarray, n: int) -> np.ndarray:
-    """x ** n on each element of an ndarray, with the C-library pow that
-    float ** int calls: numpy's vectorised power can round the last bit
-    differently. The result is read-only."""
-    return _libm_pow(x.astype(float, copy=False).tobytes(), x.shape, n)
-
-
-@lru_cache(maxsize=8)
-def _libm_pow(buf: bytes, shape: Tuple[int, ...], n: int) -> np.ndarray:
-    # Memoised on the contents: the solver evaluates every composite
-    # condition on the same grid, and a call of math.pow per element costs
-    # some twenty times the hashing of the bytes on a cache hit.
-    y = np.fromiter(map(math.pow, np.frombuffer(buf).tolist(), repeat(float(n))),
-                    float).reshape(shape)
-    y.setflags(write=False)
-    return y
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,7 @@ from typing import Callable, Dict, FrozenSet, Optional, Tuple
 
 import numpy as np
 
-from .core import (ClassId, Family, ParameterError, TargetSpec, Variant,
-                   array_pow)
+from .core import ClassId, Family, ParameterError, TargetSpec, Variant
 from .extremal import ExtremalId
 
 SQRT2 = math.sqrt(2.0)
@@ -262,9 +261,7 @@ FAMILIES: Dict[Family, FamilyDef] = {
         generator=lambda z: 1.0 + z - z**3 / 3.0,
         threshold=lambda t: (5.0 / 3.0, -1.0),
         contact=lambda t, v: (abs(v), 5.0 / 3.0),
-        # the g1 condition is one of the two flagged ones: its contact is
-        # checked at the looser tolerance of variant adjudication
-        sharp={ClassId.G1: (ExtremalId.F2, -1, 1e-4),
+        sharp={ClassId.G1: (ExtremalId.F2, -1, _SHARP_TOL),
                ClassId.G2: (ExtremalId.F3, -1, _SHARP_TOL)},
         readings={ClassId.G1: (Variant.PRINTED, Variant.PRINTED_PROOF)}),
     Family.SIGMOID_SG: FamilyDef(
@@ -307,22 +304,22 @@ def region_boundary(t: TargetSpec, n: int) -> np.ndarray:
     return fd.boundary(t, n)
 
 
-def containment_threshold(t: TargetSpec, c):
+def containment_threshold(t: TargetSpec, c: float) -> float:
     """Largest R such that the disk {|w-c| < R} is inside the target domain
     according to the per-family containment condition; may be negative.
-    c may be an ndarray of centers, giving an array of thresholds."""
-    if isinstance(c, np.ndarray):
-        lowest, pw, sqrt = c.min(), array_pow, np.sqrt
-    else:
-        lowest, pw, sqrt = c, pow, math.sqrt
-    if lowest < 1.0:
-        raise ParameterError(f"center c={lowest!r} below 1")
+    It is that largest disk only for c in [1, c_end): c_end is (e + 1/e)/2
+    for the exponential domain, 5/3 for the cardioid and the nephroid, 3/2
+    for the parabolic domain, 1 + sin 1 for the sine domain, 2e/(1 + e) for
+    the sigmoid domain and sqrt2 for the lune, both rational domains and the
+    lemniscate; the half-plane and the sector have no end. Past c_end it can
+    overstate the largest disk that fits."""
+    if c < 1.0:
+        raise ParameterError(f"center c={c!r} below 1")
     affine = FAMILIES[t.family].threshold
     if affine is not None:
         p, q = affine(t)
         return p + q * c
     # RL, the one family whose threshold is not affine in c; it is 0 where
     # |sqrt2 - c| > 1, which is where t2 <= 0, and never negative
-    t2 = 1.0 - pw(SQRT2 - c, 2)
-    t2 = (t2 + abs(t2)) / 2.0  # max(t2, 0) for a finite float or ndarray, exactly
-    return sqrt(sqrt(t2) - t2)
+    t2 = max(1.0 - (SQRT2 - c) ** 2, 0.0)
+    return math.sqrt(math.sqrt(t2) - t2)

@@ -4,23 +4,18 @@ isolation in (0, 1)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
-
-import numpy as np
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from . import bounds, regions
 from .core import (ClassId, ClassSpec, ConditionKind, Family, NoRootError,
                    ParameterError, RadiusCondition, RadiusResult, TargetSpec,
                    UnsupportedCombinationError, Variant, default_target)
 
-_SCAN_STEP = 1e-3
-# the scan points k * _SCAN_STEP for k = 1 .. 999, each the same float as
-# that product
-_GRID = np.arange(1, 1000) * _SCAN_STEP
-# Every radius is at most sqrt2 - 1 (g2 starlike at m = 0), so the scan
-# evaluates the first half of the grid, r <= 0.5, and the second half only
-# where h is negative on all of the first. Each half with its first index.
-_HALVES = ((0, _GRID[:500]), (500, _GRID[500:]))
+_SCAN_STEP, _SCAN_END = 1e-3, 1000  # the grid: k * _SCAN_STEP, 0 < k < _SCAN_END
+# Horner's rule on a quartic errs by at most gamma_8 * sum |c_i| on [0, 1]
+# (Higham, Accuracy and Stability of Numerical Algorithms, 5.1), the Bernstein
+# coefficients by gamma_10 * sum |c_i|: 2 ** -47 bounds both, 2 ** -1070 underflow.
+_HORNER_ERR = 2.0 ** -47
 DEFAULT_TOL = 1e-12
 
 
@@ -72,9 +67,12 @@ def assemble_condition(spec: ClassSpec, t: TargetSpec,
     affine = fd.threshold
     if affine is None:  # RL: the threshold is not affine in the center
         printed_center = variant is not Variant.CENTER_CORRECTED
+        # one sign change on the grid, in floats too: the disk radius grows
+        # with r, the threshold falls as the center grows from 1 to sqrt2,
+        # and past sqrt2 it is at most 1/2 while the radius exceeds 1
         return RadiusCondition(ConditionKind.COMPOSITE, variant,
                                evaluator=_rl_evaluator(spec, t, printed_center),
-                               extrapolation=extrapolation)
+                               extrapolation=extrapolation, monotone_signs=True)
 
     m = spec.coeff_mag
     if variant is Variant.PRINTED:  # first alternate reading of g1 nephroid
@@ -97,13 +95,50 @@ def _check_tol(tol: float) -> None:
         raise ParameterError(f"tol={tol!r} outside [1e-15, 1e-6]")
 
 
+def _certified_negative(coeffs: Tuple[float, ...], x: float) -> bool:
+    """True where Horner's rule on the quartic of ascending coefficients
+    coeffs is negative in floats on all of [0, x], x <= 1: its Bernstein
+    coefficients on [0, x] bound it above and lie below minus the rounding
+    error. A NaN or infinite coefficient is never certified."""
+    c0, c1, c2, c3, c4 = tuple(coeffs) + (0.0,) * (5 - len(coeffs))
+    x2 = x * x
+    a1, a2, a3, a4 = c1 * x, c2 * x2, c3 * (x2 * x), c4 * (x2 * x2)
+    bound = -_HORNER_ERR * sum(map(abs, (c0, c1, c2, c3, c4))) - 2.0 ** -1070
+    return (c0 < bound and c0 + a1 / 4.0 < bound
+            and c0 + a1 / 2.0 + a2 / 6.0 < bound
+            and c0 + 0.75 * a1 + a2 / 2.0 + a3 / 4.0 < bound
+            and c0 + a1 + a2 + a3 + a4 < bound)
+
+
+def _first_nonnegative(cond: RadiusCondition) -> Tuple[int, Optional[float]]:
+    """The first k in 1 .. 999 with h(k * _SCAN_STEP) not negative, and that
+    value, or (_SCAN_END, None). A binary search ends at adjacent lo, hi with
+    h negative at lo (or lo = 0) and not at hi: hi is the point-by-point
+    walk's answer where h is proven negative at every grid point up to lo."""
+    lo, hi, h_hi = 0, _SCAN_END, None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        h = cond(mid * _SCAN_STEP)
+        if h < 0.0:
+            lo = mid
+        else:
+            hi, h_hi = mid, h
+    if not (cond.monotone_signs or (
+            cond.kind is ConditionKind.POLYNOMIAL
+            and _certified_negative(cond.coeffs, lo * _SCAN_STEP))):
+        for k in range(1, hi):  # the walk
+            h = cond(k * _SCAN_STEP)
+            if not h < 0.0:
+                return k, h
+    return hi, h_hi
+
+
 def smallest_root_in_01(cond: RadiusCondition,
                         tol: float = DEFAULT_TOL) -> RadiusResult:
-    """Locate the least r in (0, 1) with h(r) = 0: h on the 1e-3 grid, one
-    half at a time, gives the first grid point where h is not negative, and
-    bisection of the step before it narrows the bracket to width <= tol. A
-    NaN value of h is neither negative nor a sign change: it raises
-    NoRootError."""
+    """Locate the least r in (0, 1) with h(r) = 0: the first point of the
+    1e-3 grid where h is not negative (_first_nonnegative), then bisection
+    of the step before it to width <= tol. A NaN value of h is neither
+    negative nor a sign change: it raises NoRootError."""
     _check_tol(tol)
     h0 = cond(0.0)
     if not h0 < 0.0:
@@ -111,15 +146,11 @@ def smallest_root_in_01(cond: RadiusCondition,
             raise ParameterError(f"condition is nonnegative at r=0 (h(0)={h0!r})")
         raise _no_root(cond, "condition is NaN at r=0.0", h0)
 
-    for start, grid in _HALVES:
-        h = cond(grid)
-        k = int((h < 0.0).argmin())  # first grid point where h is not negative
-        if not h[k] < 0.0:
-            break
-    else:
+    k, hk = _first_nonnegative(cond)
+    if k == _SCAN_END:
         raise _no_root(cond, "no sign change in (0, 1)", h0)
-    lo, hi = (start + k) * _SCAN_STEP, (start + k + 1) * _SCAN_STEP
-    if h[k] != h[k]:
+    lo, hi = (k - 1) * _SCAN_STEP, k * _SCAN_STEP
+    if hk != hk:
         raise _no_root(cond, f"condition is NaN at r={hi!r}", h0)
 
     iterations = 0

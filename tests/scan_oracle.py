@@ -3,8 +3,9 @@ the plain Horner loop for a polynomial condition.
 
 Oracles for the tests only: the scan walks the 1e-3 grid one scalar
 evaluation at a time until h stops being negative, then bisects, so the
-solver's grid evaluation can be checked against it result for result and
-error for error; horner_loop is the evaluation that RadiusCondition unrolls."""
+solver's binary search over the grid can be checked against it result for
+result and error for error; horner_loop is the evaluation that
+RadiusCondition unrolls."""
 
 from radstar.core import NoRootError, ParameterError, RadiusCondition, RadiusResult
 
@@ -13,7 +14,7 @@ SCAN_STEP = 1e-3
 
 def horner_loop(coeffs, r):
     """h(r) for ascending coefficients, one multiply-add per coefficient from
-    the highest degree down; r may be a float or an ndarray."""
+    the highest degree down."""
     acc = 0.0
     for c in reversed(coeffs):
         acc = acc * r + c
@@ -22,6 +23,17 @@ def horner_loop(coeffs, r):
 
 def _no_root(cond, message, h0):
     return NoRootError(message, h0, cond(1.0 - 1e-9))
+
+
+def first_stop(cond: RadiusCondition):
+    """The first k >= 1 with k * SCAN_STEP < 1 at which h(k * SCAN_STEP) is
+    not negative, or None where h is negative at all of them."""
+    k = 1
+    while k * SCAN_STEP < 1.0:
+        if not cond(k * SCAN_STEP) < 0.0:
+            return k
+        k += 1
+    return None
 
 
 def scan_smallest_root(cond: RadiusCondition, tol: float = 1e-12) -> RadiusResult:
@@ -35,21 +47,13 @@ def scan_smallest_root(cond: RadiusCondition, tol: float = 1e-12) -> RadiusResul
             raise ParameterError(f"condition is nonnegative at r=0 (h(0)={h0!r})")
         raise _no_root(cond, "condition is NaN at r=0.0", h0)
 
-    lo = 0.0
-    hi = None
-    k = 1
-    while k * SCAN_STEP < 1.0:
-        r = k * SCAN_STEP
-        hr = cond(r)
-        if not hr < 0.0:
-            if hr != hr:
-                raise _no_root(cond, f"condition is NaN at r={r!r}", h0)
-            lo, hi = (k - 1) * SCAN_STEP, r
-            break
-        lo = r
-        k += 1
-    if hi is None:
+    k = first_stop(cond)
+    if k is None:
         raise _no_root(cond, "no sign change in (0, 1)", h0)
+    lo, hi = (k - 1) * SCAN_STEP, k * SCAN_STEP
+    hr = cond(hi)
+    if hr != hr:
+        raise _no_root(cond, f"condition is NaN at r={hi!r}", h0)
 
     iterations = 0
     while hi - lo > tol:

@@ -41,8 +41,6 @@ def test_r_domain_rejected():
         with pytest.raises(DomainError):
             disk(spec, r)
         with pytest.raises(DomainError):
-            disk(spec, np.array([0.5, r]))
-        with pytest.raises(DomainError):
             herglotz_logderiv_bound(0.5, r)
 
 

@@ -314,6 +314,9 @@ _BAD_GRID = [
     # b is named as a plain float, not as a numpy scalar
     (["--b-start", "-2", "--b-end", "0", "--b-steps", "3"],
      "b=-2.0 outside admissible interval"),
+    # one step uses --b-start only, but --b-end is checked all the same
+    (["--b-start", "-1", "--b-end", "nan", "--b-steps", "1"],
+     "b=nan outside admissible interval"),
 ]
 
 

@@ -13,7 +13,7 @@ from radstar.core import (CLASSES, ClassId, ConditionKind, Family, NoRootError,
                           class_from_coeff_mag, default_target, make_class)
 from radstar.solver import (assemble_condition, compute_radius, radius_table,
                             smallest_root_in_01, supported_targets)
-from scan_oracle import horner_loop, scan_smallest_root
+from scan_oracle import SCAN_STEP, first_stop, horner_loop, scan_smallest_root
 
 
 def _poly_condition(coeffs):
@@ -171,11 +171,10 @@ _COEFF = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e6, 1e6))
 @example((-0.0,) * 5, [0.0, 0.5])  # the loop's first 0.0 * r makes this +0.0
 def test_unrolled_horner_matches_loop(coeffs, rs):
     # the evaluator built once per condition gives the loop's floats, signs
-    # of zero included, on scalars and on the whole scan grid
+    # of zero included
     cond = _poly_condition(coeffs)
     for r in rs:
         assert struct.pack("<d", cond(r)) == struct.pack("<d", horner_loop(coeffs, r))
-    assert cond(solver._GRID).tobytes() == horner_loop(coeffs, solver._GRID).tobytes()
 
 
 def test_polynomial_degree_limited():
@@ -207,43 +206,89 @@ def _composite_condition(h):
                            evaluator=h)
 
 
+def _nan_between(a, b):
+    # -1 below a, NaN on [a, b), +1 from b on
+    return _composite_condition(
+        lambda r: -1.0 if r < a else (math.nan if r < b else 1.0))
+
+
 def test_nan_condition_raises():
-    # -1 below 0.3, NaN on [0.3, 0.6), +1 above: NaN must not pass the scan
-    # as negative and report the edge of the NaN stretch as a root
-    # (evaluators take a float or an ndarray of r, hence np.where)
-    def h(r):
-        return np.where(r < 0.3, -1.0, np.where(r < 0.6, math.nan, 1.0))
+    # NaN on [0.3, 0.6): NaN must not pass the scan as negative and report
+    # the edge of the NaN stretch as a root
     with pytest.raises(NoRootError, match="NaN at r=0.3"):
-        smallest_root_in_01(_composite_condition(h))
+        smallest_root_in_01(_nan_between(0.3, 0.6))
     # NaN inside the bracket found by the scan stops the bisection
     with pytest.raises(NoRootError, match=r"NaN at r=0\.010[45]"):
-        smallest_root_in_01(_composite_condition(
-            lambda r: np.where(r < 0.0102, -1.0,
-                               np.where(r < 0.0108, math.nan, 1.0))))
+        smallest_root_in_01(_nan_between(0.0102, 0.0108))
     # NaN at the origin is neither negative nor a parameter error
     with pytest.raises(NoRootError, match="NaN at r=0.0"):
         smallest_root_in_01(_composite_condition(lambda r: r * math.nan))
 
 
-def test_grid_and_scalar_evaluation_agree():
-    # the solver reads signs from one evaluation on the grid and bisects with
-    # scalar calls, so the two must give the same floats, bit for bit
-    grid = solver._GRID
-    assert grid.tolist() == [k * 1e-3 for k in range(1, 1000)]
+# the targets of the certificate tests: every family, with order parameters
+# on a grid
+_ORDER_TARGETS = (
+    [TargetSpec(Family.STARLIKE_ORDER, alpha=a) for a in (0.0, 0.3, 0.9)]
+    + [TargetSpec(Family.STRONGLY_STARLIKE, gamma=g) for g in (0.1, 0.5, 1.0)]
+    + [default_target(f) for f in Family
+       if f not in (Family.STARLIKE_ORDER, Family.STRONGLY_STARLIKE)])
+
+
+def _library_conditions(families):
+    # every reading of every cell over 41 magnitudes per class, extended
     for class_id in ClassId:
-        max_mag = CLASSES[class_id].max_mag
-        for frac in (0.0, 0.37, 1.0):
-            spec = class_from_coeff_mag(class_id, frac * max_mag)
-            for f in Family:
+        for mag in np.linspace(0.0, CLASSES[class_id].max_mag, 41).tolist():
+            spec = class_from_coeff_mag(class_id, mag)
+            for t in _ORDER_TARGETS:
+                if t.family not in families:
+                    continue
                 for policy in Variant:
                     try:
-                        cond = assemble_condition(spec, default_target(f), policy,
-                                                  extended=True)
+                        cond = assemble_condition(spec, t, policy, extended=True)
                     except ParameterError:
                         continue
-                    pointwise = [cond(float(r)) for r in grid]
-                    assert np.array_equal(cond(grid), pointwise), \
-                        (class_id, frac, f, policy)
+                    if cond.variant is policy:  # each reading once
+                        yield (class_id, mag, t, policy), cond
+
+
+def test_library_quartics_certified_at_scan_step():
+    # the binary search stands in for the point-by-point walk where the
+    # Bernstein certificate proves h negative at every grid point before the
+    # walk's stop; it does on every library quartic, so none falls back to
+    # the walk
+    polynomial = set(Family) - {Family.RATIONAL_RL}
+    n = 0
+    for cell, cond in _library_conditions(polynomial):
+        k = first_stop(cond)
+        assert k is not None, cell
+        assert solver._certified_negative(cond.coeffs, (k - 1) * SCAN_STEP), cell
+        n += 1
+    assert n == 2 * 41 * 15 + 41 * 2  # g1 nephroid has two more readings
+
+
+def test_rl_signs_monotone_on_grid():
+    # the flag that lets the binary search stand in for the walk on the RL
+    # condition: on the grid, h is negative and then nonnegative, changing
+    # once, for both classes and both centers
+    n = 0
+    for cell, cond in _library_conditions({Family.RATIONAL_RL}):
+        assert cond.monotone_signs, cell
+        negative = [cond(k * SCAN_STEP) < 0.0 for k in range(1, 1000)]
+        assert negative == sorted(negative, reverse=True), cell
+        assert negative[0] and not negative[-1], cell
+        n += 1
+    assert n == 41 * 3
+
+
+def test_certificate_refuses_nonfinite_and_touching_quartics():
+    assert solver._certified_negative((-1.0, 0.5), 0.999)
+    for coeffs in ((math.nan, 0.5), (-1.0, math.inf), (-math.inf,),
+                   (-1.0, 0.0, 0.0, 0.0, -math.inf)):
+        assert not solver._certified_negative(coeffs, 0.5), coeffs
+    # -(r - 0.3)^2 is negative on [0, 0.5] except at 0.3, where it is 0
+    assert not solver._certified_negative((-0.09, 0.6, -1.0), 0.5)
+    # negative on [0, x], but by less than the rounding error at x
+    assert not solver._certified_negative((-0.5, 1.0), math.nextafter(0.5, 0.0))
 
 
 def _outcome(find_root, cond):
@@ -263,39 +308,46 @@ _ROOT = st.one_of(_GRID_POINT, st.floats(0.0, 1.0), st.floats(-2.0, 3.0))
 @given(st.lists(_ROOT, min_size=1, max_size=4), st.floats(0.1, 10.0),
        st.none() | st.tuples(st.one_of(_GRID_POINT, st.floats(0.0, 1.0)),
                              st.floats(0.0, 0.2)))
+# the certificate fails and the walk decides: a double root on a grid point,
+# and two roots inside one grid step
+@example([0.3, 0.3, 0.7], 1.0, None)
+@example([0.3002, 0.3007, 0.9], 1.0, None)
 def test_root_matches_point_by_point_scan(roots, scale, nan_stretch):
     # quartics (and lower) with roots anywhere, on grid points too, negative
-    # at 0 unless 0 is a root, and optionally NaN on [a, a + w): the
-    # whole-grid scan must return what the point-by-point scan returns, or
-    # raise the same error
+    # at 0 unless 0 is a root, and optionally NaN on [a, a + w): the binary
+    # search must return what the point-by-point scan returns, or raise the
+    # same error
     coeffs = scale * np.poly(roots)[::-1]
     cond = _poly_condition(-coeffs if coeffs[0] > 0.0 else coeffs)
     if nan_stretch is not None:
         a, w = nan_stretch
         poly = cond
         cond = _composite_condition(
-            lambda r: np.where((a <= r) & (r < a + w), math.nan, poly(r)))
+            lambda r: math.nan if a <= r < a + w else poly(r))
     assert _outcome(smallest_root_in_01, cond) == _outcome(scan_smallest_root, cond)
 
 
 def _nan_from(a):
-    # -1 below a, NaN on [a, a + 0.1), +1 above
-    return _composite_condition(
-        lambda r: np.where(r < a, -1.0, np.where(r < a + 0.1, math.nan, 1.0)))
+    return _nan_between(a, a + 0.1)
 
 
 @pytest.mark.parametrize("cond", [
-    _poly_condition([-0.5, 1.0]),     # 0.5 is the first half's last point
-    _poly_condition([-0.5005, 1.0]),  # 0.501 is the second half's first
+    _poly_condition([-0.5, 1.0]),     # 0.5 is the search's first probe
+    _poly_condition([-0.5005, 1.0]),  # 0.501 is the first point after it
     _poly_condition([-0.9, 1.0]),
     _nan_from(0.5),
     _nan_from(0.501),
     _poly_condition([-1.0]),          # no sign change
+    _poly_condition([-0.0005, 1.0]),  # 0.001, the first grid point
+    _poly_condition([-0.9985, 1.0]),  # 0.999, the last
+    _nan_from(0.001),
+    _nan_between(0.2, 0.7),           # NaN at every probe from 0.5 to 0.25
 ], ids=["root-0.5", "root-0.5005", "root-0.9", "nan-0.5", "nan-0.501",
-        "no-root"])
+        "no-root", "root-0.0005", "root-0.9985", "nan-0.001", "nan-0.2-0.7"])
 def test_half_grid_boundary_matches_scan(cond):
-    # the scan evaluates r <= 0.5 first and the rest only when h is negative
-    # on all of it; either way the outcome is the point-by-point scan's
+    # the binary search probes r = 0.5 first and halves the grid from there;
+    # at the first and last grid points, across 0.5 and through NaN, the
+    # outcome is the point-by-point scan's
     assert _outcome(smallest_root_in_01, cond) == _outcome(scan_smallest_root, cond)
 
 

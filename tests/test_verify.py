@@ -136,6 +136,18 @@ def test_sharpness_loose_away_from_extreme_b():
     assert abs(rep.value - 1.0 / 3.0) > 0.05
 
 
+def test_g1_nephroid_contact_tight_on_negative_half():
+    # the g1 nephroid witness touches the boundary to within 1e-11 wherever
+    # the coefficient 1 + 2b is not positive, far inside the contact
+    # tolerance of every sharp entry
+    t = default_target(Family.NEPHROID)
+    assert regions.FAMILIES[Family.NEPHROID].sharp[ClassId.G1][2] == 1e-6
+    for b in np.linspace(-1.0, -0.5, 101).tolist():
+        spec = make_class(ClassId.G1, b)
+        rep = sharpness_check(spec, t, solver.compute_radius(spec, t).rho)
+        assert rep.ok and abs(rep.value - rep.target_value) < 1e-11, b
+
+
 def test_verify_cell_report_shape():
     spec = make_class(ClassId.G1, -1.0)
     rep = verify_cell(spec, default_target(Family.CARDIOID))
