@@ -9,8 +9,6 @@ import json
 import sys
 from typing import List, Optional, Sequence
 
-import numpy as np
-
 from . import regions, solver, verify
 from .core import (CLASSES, ClassId, Family, NoRootError, ParameterError,
                    RadiusResult, TargetSpec, UnsupportedCombinationError,
@@ -73,6 +71,21 @@ def _standard_specs(class_id: ClassId):
     return [class_from_coeff_mag(class_id, max_mag * k / 10) for k in range(11)]
 
 
+def _b_grid(start: float, end: float, n: int) -> List[float]:
+    """n values of b from start to end: start alone for n = 1, and otherwise
+    np.linspace(start, end, n).tolist(), by numpy's own float operations."""
+    if n == 1:
+        return [start]
+    delta = end - start
+    step = delta / (n - 1)
+    if step == 0.0:  # numpy's branch for a gap that underflows
+        bs = [(k / (n - 1)) * delta + start for k in range(n)]
+    else:
+        bs = [k * step + start for k in range(n)]
+    bs[-1] = end
+    return bs
+
+
 def _table_specs(class_id: ClassId, args):
     """The rows of a table: the --mag-grid magnitudes, --b-steps values of b
     from --b-start to --b-end, or the standard grid when neither is given."""
@@ -95,10 +108,7 @@ def _table_specs(class_id: ClassId, args):
     if not 1 <= args.b_steps <= regions.MAX_SAMPLES:
         raise ParameterError(
             f"--b-steps {args.b_steps} outside [1, {regions.MAX_SAMPLES}]")
-    # plain floats, so a refused b reads b=-2.0 rather than np.float64(-2.0)
-    bs = ([args.b_start] if args.b_steps == 1
-          else np.linspace(*ends, args.b_steps).tolist())
-    specs = [make_class(class_id, b) for b in bs]
+    specs = [make_class(class_id, b) for b in _b_grid(*ends, args.b_steps)]
     coefficient(class_id, args.b_end)  # checked though one step leaves it out
     return specs
 

@@ -1,11 +1,9 @@
-"""Extremal functions for the two classes, their Schwarz functions, factored
-logarithmic derivatives, and an exact series oracle for Taylor coefficients."""
+"""Extremal functions for the two classes, their Schwarz functions and
+factored logarithmic derivatives."""
 
 from __future__ import annotations
 
 import enum
-from fractions import Fraction
-from typing import List, Sequence, Union
 
 from .core import ClassId, EvaluationError, ParameterError, coefficient
 
@@ -81,47 +79,3 @@ def schwarz_eval(index: int, b: float, z: complex) -> complex:
     if eid is ExtremalId.F2:
         return _safe_div(z * (z + B), 1.0 + B * z)
     return _safe_div(z * (z + B / 2.0), 1.0 + B * z / 2.0)
-
-
-# ---------------------------------------------------------------------------
-# Exact series oracle
-
-Number = Union[int, Fraction]
-
-
-def series_quotient(num: Sequence[Number], den: Sequence[Number],
-                    nterms: int) -> List[Fraction]:
-    """First nterms Taylor coefficients of num/den by exact long division;
-    den[0] must be nonzero."""
-    num = [Fraction(c) for c in num]
-    den = [Fraction(c) for c in den]
-    if den[0] == 0:
-        raise ParameterError("series division needs den[0] != 0")
-    out: List[Fraction] = []
-    for k in range(nterms):
-        acc = num[k] if k < len(num) else Fraction(0)
-        for j in range(1, min(k, len(den) - 1) + 1):
-            acc -= den[j] * out[k - j]
-        out.append(acc / den[0])
-    return out
-
-
-def taylor_coefficients(eid: ExtremalId, b: Fraction,
-                        nterms: int = 8) -> List[Fraction]:
-    """Exact Taylor coefficients a_1, a_2, ... of the extremal function for
-    rational b (series-division oracle, independent of eval_extremal)."""
-    B = coefficient(_CLASS_OF[eid], Fraction(b))
-    if eid is ExtremalId.F1:
-        num = [0, 1, -1]
-        # (1+z)(1-2Bz+z^2)
-        den = [1, 1 - 2 * B, 1 - 2 * B, 1]
-    elif eid is ExtremalId.F2:
-        num = [0, 1, 2 * B, 1]
-        # (1+z)^2 (1-z^2) = (1+z)^3 (1-z)
-        den = [1, 2, 0, -2, -1]
-    else:
-        num = [0, 1, B, 1]
-        # (1+z)(1-z^2)
-        den = [1, 1, -1, -1]
-    coeffs = series_quotient(num, den, nterms + 1)
-    return coeffs[1:]  # a_1 onward; a_1 == 1 for all three

@@ -7,9 +7,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Dict, FrozenSet, Optional, Tuple
-
-import numpy as np
 
 from .core import ClassId, Family, ParameterError, TargetSpec, Variant
 from .extremal import ExtremalId
@@ -27,6 +26,21 @@ MAX_SAMPLES = 1_000_000
 
 _K = SQRT2 + 1.0
 _C_RL = 2.0 * (SQRT2 - 1.0)
+
+
+class _Numpy:
+    """Stands for numpy until an array is first built: the first attribute
+    read imports numpy and rebinds this module's np to it, so a radius,
+    which builds none, never loads it and later reads are plain lookups."""
+
+    def __getattr__(self, name):
+        global np
+        import numpy
+        np = numpy
+        return getattr(numpy, name)
+
+
+np = _Numpy()
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +121,22 @@ def _anchored_circle(n: int) -> np.ndarray:
     pts[-1] = 1.0
     pts[(n - 1) // 2] = -1.0
     return pts
+
+
+@lru_cache(maxsize=1)
+def _unit_circle(n: int) -> np.ndarray:
+    """n equally spaced unit-circle samples from +1, read-only; the circle
+    of the last sample count only, so a scan of 10**6 samples keeps no more
+    than its own 16 MB array."""
+    u = np.exp(1j * (2.0 * math.pi * np.arange(n) / n))
+    u.setflags(write=False)
+    return u
+
+
+def circle_points(center: float, radius: float, n: int) -> np.ndarray:
+    """n samples of the circle |w - center| = radius, the first at
+    center + radius."""
+    return center + radius * _unit_circle(n)
 
 
 def _halfplane_boundary(alpha: float, n: int) -> np.ndarray:
@@ -215,7 +245,7 @@ FAMILIES: Dict[Family, FamilyDef] = {
         classes=frozenset({ClassId.G1})),
     Family.EXPONENTIAL: FamilyDef(
         mask=_exponential_mask,
-        generator=np.exp,
+        generator=lambda z: np.exp(z),
         threshold=lambda t: (-1.0 / E, 1.0),
         contact=lambda t, v: (abs(cmath.log(v)), 1.0),
         sharp={ClassId.G1: (ExtremalId.F1, +1, _SHARP_TOL)},

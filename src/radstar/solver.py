@@ -190,7 +190,8 @@ class TableCell:
     target: TargetSpec
     variant: Variant  # the reading the cell solved, or would have solved
     result: Optional[RadiusResult]
-    error: Optional[str]
+    error: Optional[str]  # ERROR:no-root, ERROR:unsupported or ERROR:parameter
+    message: Optional[str] = None  # the text of the error, None on success
 
     @property
     def status(self) -> str:
@@ -220,12 +221,13 @@ def radius_table(class_id: ClassId, specs: Iterable[ClassSpec],
             try:
                 res = compute_radius(spec, t, policy, tol, extended)
                 cells.append(TableCell(spec, t, variant, res, None))
-            except NoRootError:
-                cells.append(TableCell(spec, t, variant, None, "ERROR:no-root"))
-            except ParameterError as exc:
-                kind = ("unsupported" if isinstance(exc, UnsupportedCombinationError)
+            except (NoRootError, ParameterError) as exc:
+                kind = ("no-root" if isinstance(exc, NoRootError)
+                        else "unsupported"
+                        if isinstance(exc, UnsupportedCombinationError)
                         else "parameter")
-                cells.append(TableCell(spec, t, variant, None, f"ERROR:{kind}"))
+                cells.append(TableCell(spec, t, variant, None, f"ERROR:{kind}",
+                                       str(exc)))
     return cells
 
 

@@ -6,12 +6,8 @@ first-class conditions."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import List, Optional, Tuple
-
-import numpy as np
 
 from . import bounds, regions, solver
 from .core import (ClassId, ClassSpec, ParameterError, RadiusResult,
@@ -98,19 +94,6 @@ def _cstr(w: Optional[complex]) -> Optional[str]:
     return f"{w.real:.15g}{w.imag:+.15g}j"
 
 
-@lru_cache(maxsize=1)
-def _unit_circle(n: int) -> np.ndarray:
-    # the circle of the last sample count only, so a scan of 10**6 samples
-    # keeps no more than its own 16 MB array
-    u = np.exp(1j * (2.0 * math.pi * np.arange(n) / n))
-    u.setflags(write=False)
-    return u
-
-
-def _circle_points(center: float, radius: float, n: int) -> np.ndarray:
-    return center + radius * _unit_circle(n)
-
-
 def containment_scan(spec: ClassSpec, t: TargetSpec, rho: float,
                      n_samples: int = N_SAMPLES) -> ScanReport:
     """Criterion 1: the disk bound just inside rho stays in the exact region.
@@ -124,17 +107,17 @@ def containment_scan(spec: ClassSpec, t: TargetSpec, rho: float,
 
     r1 = 0.99 * rho
     d1 = bounds.disk(spec, r1)
-    pts1 = _circle_points(d1.center, d1.radius, n_samples)
+    pts1 = regions.circle_points(d1.center, d1.radius, n_samples)
     mask1 = regions.membership_mask(t, pts1)
-    inside_pass = bool(np.all(mask1))
-    inside_witness = None if inside_pass else complex(pts1[np.argmin(mask1)])
+    inside_pass = bool(mask1.all())
+    inside_witness = None if inside_pass else complex(pts1[mask1.argmin()])
 
     r2 = min(1.02 * rho, 0.5 * (1.0 + rho))
     d2 = bounds.disk(spec, r2)
-    pts2 = _circle_points(d2.center, d2.radius, n_samples)
+    pts2 = regions.circle_points(d2.center, d2.radius, n_samples)
     mask2 = regions.membership_mask(t, pts2)
-    outside_pass = bool(np.any(~mask2))
-    outside_witness = complex(pts2[np.argmin(mask2)]) if outside_pass else None
+    outside_pass = bool((~mask2).any())
+    outside_witness = complex(pts2[mask2.argmin()]) if outside_pass else None
 
     return ScanReport(inside_pass=inside_pass, inside_witness=inside_witness,
                       outside_pass=outside_pass, outside_witness=outside_witness,

@@ -2,13 +2,21 @@ import csv
 import io
 import json
 import math
+import os
+import struct
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from radstar import cli
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).parents[1] / "src"
 
 
 def _run(argv):
@@ -300,7 +308,7 @@ _BAD_GRID = [
     (["--b-steps", "3", "--b-end", "-0.5"], "--b-steps needs both"),
     (["--b-steps", "-2", "--b-start", "-1", "--b-end", "0"], "outside [1, 1000000]"),
     (["--b-steps", "0", "--b-start", "-1", "--b-end", "0"], "outside [1, 1000000]"),
-    # rejected before numpy allocates the grid
+    # rejected before the grid is built
     (["--b-steps", "1000001", "--b-start", "-1", "--b-end", "0"], "outside [1, 1000000]"),
     (["--b-start", "-1"], "need --b-steps"),
     (["--mag-grid", "0.5", "--b-end", "-1"], "need --b-steps"),
@@ -365,3 +373,68 @@ def test_table_output_byte_identical(argv, name, capsys):
     # report fields must not move by a single printed digit
     assert cli.main(argv) == 0
     assert capsys.readouterr().out.encode() == (DATA / name).read_bytes()
+
+
+_ENDS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+_SUBNORMAL = 5e-324
+
+
+@given(ends=st.one_of(st.tuples(_ENDS, _ENDS), _ENDS.map(lambda x: (x, x))),
+       n=st.sampled_from([1, 2, 3, 2001]))
+@example(ends=(0.0, -0.0), n=3)
+@example(ends=(-0.0, 0.0), n=2)
+@example(ends=(-0.0, -0.0), n=2001)
+@example(ends=(-1.0, -1.0), n=3)
+@example(ends=(-1.0, math.nan), n=2)
+@example(ends=(math.nan, -1.0), n=3)
+@example(ends=(-1.0, math.inf), n=3)
+@example(ends=(math.inf, -math.inf), n=2)
+@example(ends=(-math.inf, -math.inf), n=2001)
+@example(ends=(0.0, 2 * _SUBNORMAL), n=2001)  # the step underflows to 0
+@example(ends=(_SUBNORMAL, -_SUBNORMAL), n=3)
+@example(ends=(-1.0, 1.0 / 3.0), n=2001)
+def test_b_grid_matches_numpy_linspace(ends, n):
+    # the same doubles, bit for bit, as the np.linspace the table used to
+    # call; one step has always been --b-start alone
+    with np.errstate(all="ignore"):  # inf - inf and 0 * inf
+        expected = [ends[0]] if n == 1 else np.linspace(*ends, n).tolist()
+    pack = struct.Struct(f"<{n}d").pack
+    assert pack(*cli._b_grid(*ends, n)) == pack(*expected)
+
+
+# Commands that build no array, with their exit codes; the last is refused.
+_NUMPY_FREE = [
+    (["radius", "--class", "g1", "--b", "-1", "--target", "starlike"], 0),
+    (["table", "--class", "g1", "--mag-grid", "0,0.5,1"], 0),
+    (["table", "--class", "g2", "--b-start", "-1", "--b-end", "0.3",
+      "--b-steps", "4"], 0),
+    (["sharpness", "--class", "g1", "--b", "-1"], 0),
+    (["radius", "--class", "g1", "--b", "-2", "--target", "starlike"], 2),
+]
+
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+from radstar import cli
+for argv, code in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(argv) == code, argv
+    assert "numpy" not in sys.modules, argv
+from radstar import regions, verify
+from radstar.core import ClassId, Family, default_target, make_class
+verify.verify_cell(make_class(ClassId.G1, -1.0), default_target(Family.SINE))
+import numpy
+assert regions.np is numpy, regions.np
+"""
+
+
+def test_radius_path_does_not_import_numpy():
+    # numpy is loaded only where an array is built, and once an array is
+    # built the module itself, not a stand-in, serves every later call
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE,
+                           json.dumps(_NUMPY_FREE)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -483,13 +483,22 @@ def test_radius_table_ordering_and_status():
 
 
 def test_radius_table_records_errors_per_cell():
-    specs = [make_class(ClassId.G2, -1.0)]
+    spec = make_class(ClassId.G2, -1.0)
     targets = [default_target(Family.CARDIOID),
-               default_target(Family.EXPONENTIAL)]
-    cells = radius_table(ClassId.G2, specs, targets)
-    assert cells[0].status == "OK"
-    assert cells[1].status == "ERROR:unsupported"
-    cells = radius_table(ClassId.G2, specs, targets, extended=True)
+               default_target(Family.EXPONENTIAL),
+               default_target(Family.STRONGLY_STARLIKE, gamma=1e-300)]
+    cells = radius_table(ClassId.G2, [spec], targets)
+    assert [c.status for c in cells] == ["OK", "ERROR:unsupported",
+                                         "ERROR:parameter"]
+    assert cells[0].message is None
+    # each failed cell keeps the text compute_radius raises for it
+    for cell in cells[1:]:
+        with pytest.raises(ParameterError) as raised:
+            compute_radius(spec, cell.target)
+        assert cell.message == str(raised.value)
+    assert "not stated for g2" in cells[1].message
+    assert "below what tol=" in cells[2].message
+    cells = radius_table(ClassId.G2, [spec], targets, extended=True)
     assert cells[1].status == "EXTRAPOLATION"
 
 
