@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 
 class ParameterError(ValueError):
@@ -64,8 +63,7 @@ class ConditionKind(enum.Enum):
     COMPOSITE = "composite"
 
 
-@dataclass(frozen=True)
-class ClassDef:
+class ClassDef(NamedTuple):
     """Every per-class fact: the slope of the coefficient 1 + slope * b,
     whose magnitude is all a radius depends on, and the interval
     [b_lo, b_hi] of b on which the radius conditions hold."""
@@ -96,8 +94,7 @@ def coefficient(class_id: ClassId, b):
     return 1 + cd.slope * b
 
 
-@dataclass(frozen=True)
-class ClassSpec:
+class ClassSpec(NamedTuple):
     """One of the two fixed-second-coefficient classes, with its derived magnitude."""
 
     class_id: ClassId
@@ -122,36 +119,41 @@ def class_from_coeff_mag(class_id: ClassId, coeff_mag: float) -> ClassSpec:
     return ClassSpec(class_id, -(1.0 + coeff_mag) / cd.slope, float(coeff_mag))
 
 
-@dataclass(frozen=True)
-class TargetSpec:
-    """A target starlike family, with its order parameter where one applies."""
-
+class _TargetFields(NamedTuple):
     family: Family
-    alpha: Optional[float] = None
-    gamma: Optional[float] = None
+    alpha: Optional[float]
+    gamma: Optional[float]
 
-    def __post_init__(self):
-        if self.family is Family.STARLIKE_ORDER:
-            if self.alpha is None:
+
+class TargetSpec(_TargetFields):
+    """A target starlike family, with its order parameter where one applies;
+    the order parameters are checked when it is built."""
+
+    __slots__ = ()
+
+    def __new__(cls, family: Family, alpha: Optional[float] = None,
+                gamma: Optional[float] = None):
+        if family is Family.STARLIKE_ORDER:
+            if alpha is None:
                 raise ParameterError("starlike target requires alpha")
-            if not (0.0 <= self.alpha < 1.0):
-                raise ParameterError(f"alpha={self.alpha!r} outside [0, 1)")
-        elif self.alpha is not None:
+            if not (0.0 <= alpha < 1.0):
+                raise ParameterError(f"alpha={alpha!r} outside [0, 1)")
+        elif alpha is not None:
             raise ParameterError("alpha only applies to the starlike-order family")
-        if self.family is Family.STRONGLY_STARLIKE:
-            if self.gamma is None:
+        if family is Family.STRONGLY_STARLIKE:
+            if gamma is None:
                 raise ParameterError("strongly-starlike target requires gamma")
-            if not (0.0 < self.gamma <= 1.0):
-                raise ParameterError(f"gamma={self.gamma!r} outside (0, 1]")
-        elif self.gamma is not None:
+            if not (0.0 < gamma <= 1.0):
+                raise ParameterError(f"gamma={gamma!r} outside (0, 1]")
+        elif gamma is not None:
             raise ParameterError("gamma only applies to the strongly-starlike family")
+        return _TargetFields.__new__(cls, family, alpha, gamma)
 
     def label(self) -> str:
         return self.family.value
 
 
-@dataclass(frozen=True)
-class DiskSpec:
+class DiskSpec(NamedTuple):
     """Real center and radius of the disk containing zf'/f on |z| = r, and
     the denominator (1 - r^2)(r^2 + 2mr + 1) (g1) or (1 - r^2)(r^2 + mr + 1)
     (g2) of the radius, by which the RL condition clears it."""
@@ -161,27 +163,35 @@ class DiskSpec:
     den: float
 
 
-@dataclass(frozen=True)
-class RadiusCondition:
+class _ConditionFields(NamedTuple):
+    kind: ConditionKind
+    variant: Variant
+    coeffs: Optional[Tuple[float, ...]]  # ascending by degree
+    evaluator: Optional[Callable[[float], float]]
+    extrapolation: bool
+    monotone_signs: bool
+
+
+class RadiusCondition(_ConditionFields):
     """Scalar condition h on [0, 1); containment holds while h(r) <= 0.
 
     h takes a float r; a polynomial condition is evaluated by Horner's rule,
     unrolled once here. monotone_signs states that the float signs of h on
     the solver's scan grid change once, from negative to nonnegative, as an
-    analytic argument proves for the conditions assemble_condition sets it on."""
+    analytic argument proves for the conditions assemble_condition sets it on.
+    h, the Horner closure or the evaluator, is an instance attribute beside
+    the six fields (the class has no __slots__), so ==, hash and repr read
+    the fields alone."""
 
-    kind: ConditionKind
-    variant: Variant
-    coeffs: Optional[Tuple[float, ...]] = None  # ascending by degree
-    evaluator: Optional[Callable[[float], float]] = None
-    extrapolation: bool = False
-    monotone_signs: bool = False
-    _h: Callable = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        h = (_horner(self.coeffs) if self.kind is ConditionKind.POLYNOMIAL
-             else self.evaluator)
-        object.__setattr__(self, "_h", h)
+    def __new__(cls, kind: ConditionKind, variant: Variant,
+                coeffs: Optional[Tuple[float, ...]] = None,
+                evaluator: Optional[Callable[[float], float]] = None,
+                extrapolation: bool = False, monotone_signs: bool = False):
+        self = _ConditionFields.__new__(cls, kind, variant, coeffs, evaluator,
+                                        extrapolation, monotone_signs)
+        self._h = (_horner(coeffs) if kind is ConditionKind.POLYNOMIAL
+                   else evaluator)
+        return self
 
     def __call__(self, r: float) -> float:
         return self._h(r)
@@ -203,8 +213,7 @@ def _horner(coeffs: Tuple[float, ...]) -> Callable[[float], float]:
     return h
 
 
-@dataclass(frozen=True)
-class RadiusResult:
+class RadiusResult(NamedTuple):
     rho: float
     residual: float
     bracket: Tuple[float, float]

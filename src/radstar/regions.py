@@ -6,9 +6,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Dict, FrozenSet, Optional, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, FrozenSet, Mapping, NamedTuple, Optional, Tuple
 
 from .core import ClassId, Family, ParameterError, TargetSpec, Variant
 from .extremal import ExtremalId
@@ -192,8 +192,7 @@ def _lune_boundary(n: int) -> np.ndarray:
 _SHARP_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class FamilyDef:
+class FamilyDef(NamedTuple):
     """Every per-family fact of one target domain.
 
     mask(t, w): exact interior test of the domain on a complex array.
@@ -208,6 +207,7 @@ class FamilyDef:
     default).
     readings[class_id]: the alternate printed readings of the class's
     condition, besides the corrected one; only flagged conditions have any.
+    sharp and readings default to one read-only empty mapping.
     """
 
     mask: Callable[[TargetSpec, np.ndarray], np.ndarray]
@@ -216,8 +216,8 @@ class FamilyDef:
     generator: Optional[Callable[[np.ndarray], np.ndarray]] = None
     boundary: Optional[Callable[[TargetSpec, int], np.ndarray]] = None
     contact: Optional[Callable[[TargetSpec, complex], Tuple[float, float]]] = None
-    sharp: Dict[ClassId, Tuple[ExtremalId, int, float]] = field(default_factory=dict)
-    readings: Dict[ClassId, Tuple[Variant, ...]] = field(default_factory=dict)
+    sharp: Mapping[ClassId, Tuple[ExtremalId, int, float]] = MappingProxyType({})
+    readings: Mapping[ClassId, Tuple[Variant, ...]] = MappingProxyType({})
 
 
 FAMILIES: Dict[Family, FamilyDef] = {
@@ -342,14 +342,17 @@ def containment_threshold(t: TargetSpec, c: float) -> float:
     for the parabolic domain, 1 + sin 1 for the sine domain, 2e/(1 + e) for
     the sigmoid domain and sqrt2 for the lune, both rational domains and the
     lemniscate; the half-plane and the sector have no end. Past c_end it can
-    overstate the largest disk that fits."""
+    overstate the largest disk that fits, except for RL, whose threshold is
+    0 from sqrt2 on: that center is the node of the lemniscate or lies
+    outside its left loop."""
     if c < 1.0:
         raise ParameterError(f"center c={c!r} below 1")
     affine = FAMILIES[t.family].threshold
     if affine is not None:
         p, q = affine(t)
         return p + q * c
-    # RL, the one family whose threshold is not affine in c; it is 0 where
-    # |sqrt2 - c| > 1, which is where t2 <= 0, and never negative
-    t2 = max(1.0 - (SQRT2 - c) ** 2, 0.0)
+    # RL, the one family whose threshold is not affine in c
+    if c >= SQRT2:
+        return 0.0
+    t2 = 1.0 - (SQRT2 - c) ** 2  # in (0.8, 1] for c in [1, sqrt2)
     return math.sqrt(math.sqrt(t2) - t2)

@@ -3,8 +3,7 @@ isolation in (0, 1)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import bounds, regions
 from .core import (ClassId, ClassSpec, ConditionKind, Family, NoRootError,
@@ -69,7 +68,7 @@ def assemble_condition(spec: ClassSpec, t: TargetSpec,
         printed_center = variant is not Variant.CENTER_CORRECTED
         # one sign change on the grid, in floats too: the disk radius grows
         # with r, the threshold falls as the center grows from 1 to sqrt2,
-        # and past sqrt2 it is at most 1/2 while the radius exceeds 1
+        # and from sqrt2 on it is 0 while the radius is positive
         return RadiusCondition(ConditionKind.COMPOSITE, variant,
                                evaluator=_rl_evaluator(spec, t, printed_center),
                                extrapolation=extrapolation, monotone_signs=True)
@@ -184,8 +183,7 @@ def compute_radius(spec: ClassSpec, t: TargetSpec,
     return res
 
 
-@dataclass(frozen=True)
-class TableCell:
+class TableCell(NamedTuple):
     spec: ClassSpec
     target: TargetSpec
     variant: Variant  # the reading the cell solved, or would have solved

@@ -6,8 +6,7 @@ first-class conditions."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from . import bounds, regions, solver
 from .core import (ClassId, ClassSpec, ParameterError, RadiusResult,
@@ -19,8 +18,7 @@ from .regions import MAX_SAMPLES
 N_SAMPLES = 512
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
     inside_pass: bool
     inside_witness: Optional[complex]
     outside_pass: bool
@@ -33,8 +31,7 @@ class ScanReport:
         return self.inside_pass and self.outside_pass
 
 
-@dataclass(frozen=True)
-class SharpnessReport:
+class SharpnessReport(NamedTuple):
     applicable: bool
     extremal: Optional[str] = None
     point: Optional[float] = None
@@ -44,8 +41,7 @@ class SharpnessReport:
     tol: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     class_id: ClassId
     b: float
     coeff_mag: float
@@ -161,8 +157,7 @@ def verify_cell(spec: ClassSpec, t: TargetSpec,
 # ---------------------------------------------------------------------------
 # Variant adjudication
 
-@dataclass(frozen=True)
-class AdjudicationReport:
+class AdjudicationReport(NamedTuple):
     class_id: ClassId
     b: float
     target: TargetSpec

@@ -334,6 +334,19 @@ def test_rl_threshold_composite():
                                 - (1.0 - (SQRT2 - 1.0) ** 2)))
 
 
+def test_rl_threshold_zero_from_sqrt2():
+    # the RL domain is the left loop of the lemniscate with its node at
+    # sqrt2: a center from there on is outside it, so no disk fits
+    t = default_target(Family.RATIONAL_RL)
+    centers = [SQRT2, math.nextafter(SQRT2, 3.0), 2.0,
+               math.nextafter(SQRT2 + 1.0, 0.0)]
+    centers += np.linspace(SQRT2, SQRT2 + 1.0, 1000, endpoint=False).tolist()
+    for c in centers:
+        assert containment_threshold(t, c) == 0.0, c
+        assert not region_contains(t, c), c
+    assert containment_threshold(t, SQRT2 - 1e-6) > 0.0
+
+
 def test_threshold_disks_fit_inside_regions():
     # A disk of 0.995 * threshold radius around an admissible center stays
     # inside the region (512-point sampling), for every family.

@@ -1,0 +1,123 @@
+"""The value types are named tuples: read-only fields, equality and hashing
+by value, and the Name(field=value, ...) repr."""
+
+import sys
+from types import MappingProxyType
+
+import pytest
+
+from radstar.core import (ClassDef, ClassId, ClassSpec, ConditionKind, DiskSpec,
+                          Family, RadiusCondition, RadiusResult, TargetSpec,
+                          Variant, make_class)
+from radstar.regions import FamilyDef
+from radstar.solver import TableCell
+from radstar.verify import (AdjudicationReport, ScanReport, SharpnessReport,
+                            VerificationReport, verify_cell)
+
+
+def _mask(t, w):
+    return w.real > 0.0
+
+
+def _threshold(t):
+    return (0.0, 1.0)
+
+
+def _evaluator(r):
+    return r - 0.5
+
+
+_SPEC = ClassSpec(ClassId.G1, -1.0, 1.0)
+_TARGET = TargetSpec(Family.STARLIKE_ORDER, alpha=0.25)
+_RESULT = RadiusResult(0.5, 0.0, (0.5, 0.5), Variant.CENTER_CORRECTED, 30)
+_SCAN = ScanReport(True, None, True, 1.5 + 0.5j, 0.49, 0.51)
+_SHARP = SharpnessReport(True, "F1", 0.5, 0.25, 0.25, True, 1e-6)
+_REPORT = VerificationReport(ClassId.G1, -1.0, 1.0, _TARGET,
+                             Variant.CENTER_CORRECTED, 0.5, _SCAN, _SHARP)
+
+# (type, positional arguments, keyword arguments) for each value type
+CASES = [
+    (ClassDef, (2, -1.0, 0.0), {}),
+    (ClassSpec, (ClassId.G1, -1.0, 1.0), {}),
+    (TargetSpec, (Family.STARLIKE_ORDER,), {"alpha": 0.25}),
+    (DiskSpec, (1.5, 0.5, 0.75), {}),
+    (RadiusCondition, (ConditionKind.POLYNOMIAL, Variant.CENTER_CORRECTED),
+     {"coeffs": (-1.0, 2.0)}),
+    (RadiusResult, (0.5, 0.0, (0.5, 0.5), Variant.CENTER_CORRECTED, 30), {}),
+    (FamilyDef, (_mask, _threshold), {}),
+    (TableCell, (_SPEC, _TARGET, Variant.CENTER_CORRECTED, _RESULT, None), {}),
+    (ScanReport, (True, None, True, 1.5 + 0.5j, 0.49, 0.51), {}),
+    (SharpnessReport, (False,), {}),
+    (VerificationReport, tuple(_REPORT), {}),
+    (AdjudicationReport, (ClassId.G1, -1.0, _TARGET, (_REPORT, _REPORT)), {}),
+]
+
+_IDS = [cls.__name__ for cls, _, _ in CASES]
+
+
+def test_cases_cover_every_value_type():
+    found = {name for module in ("core", "regions", "solver", "verify")
+             for name, obj in vars(sys.modules[f"radstar.{module}"]).items()
+             if isinstance(obj, type) and issubclass(obj, tuple)
+             and obj.__module__.startswith("radstar") and not name.startswith("_")}
+    assert found == set(_IDS)
+
+
+@pytest.mark.parametrize("cls, args, kwargs", CASES, ids=_IDS)
+def test_fields_are_read_only(cls, args, kwargs):
+    x = cls(*args, **kwargs)
+    for name in x._fields:
+        with pytest.raises(AttributeError):
+            setattr(x, name, None)
+
+
+@pytest.mark.parametrize("cls, args, kwargs", CASES, ids=_IDS)
+def test_equal_arguments_build_equal_values(cls, args, kwargs):
+    x, y = cls(*args, **kwargs), cls(*args, **kwargs)
+    assert x == y and not x != y
+    assert x == tuple(x)  # a named tuple compares as its plain tuple
+    if cls is FamilyDef:  # holds mappings, so it has no hash
+        with pytest.raises(TypeError):
+            hash(x)
+    else:
+        assert hash(x) == hash(y)
+
+
+@pytest.mark.parametrize("cls, args, kwargs", CASES, ids=_IDS)
+def test_repr_names_every_field(cls, args, kwargs):
+    x = cls(*args, **kwargs)
+    fields = ", ".join(f"{name}={getattr(x, name)!r}" for name in x._fields)
+    assert repr(x) == f"{cls.__name__}({fields})"
+
+
+def test_condition_compares_and_prints_its_fields_only():
+    # the Horner closure built for each condition is no field: two
+    # conditions of the same coefficients are equal, and evaluate alike
+    a, b = (RadiusCondition(ConditionKind.POLYNOMIAL, Variant.PRINTED,
+                            coeffs=(-1.0, 2.0)) for _ in range(2))
+    assert a == b and a(0.25) == b(0.25) == -0.5
+    assert "evaluator=None" in repr(a)
+    c = RadiusCondition(ConditionKind.COMPOSITE, Variant.CENTER_CORRECTED,
+                        evaluator=_evaluator, monotone_signs=True)
+    assert c(0.75) == 0.25
+    kind, variant, coeffs, evaluator, extrapolation, monotone = c
+    assert (coeffs, evaluator, extrapolation, monotone) == (None, _evaluator,
+                                                            False, True)
+
+
+def test_family_defaults_are_read_only():
+    fd = FamilyDef(_mask, _threshold)
+    assert fd.classes == frozenset(ClassId)
+    for mapping in (fd.sharp, fd.readings):
+        assert isinstance(mapping, MappingProxyType) and not mapping
+        with pytest.raises(TypeError):
+            mapping[ClassId.G1] = ()
+
+
+def test_reports_of_one_cell_compare_equal():
+    # a benchmark round is checked against the first by != on the reports
+    spec = make_class(ClassId.G1, -0.7)
+    for family in (Family.SINE, Family.RATIONAL_RL, Family.NEPHROID):
+        t = TargetSpec(family)
+        a, b = verify_cell(spec, t), verify_cell(spec, t)
+        assert a == b and not a != b and hash(a) == hash(b)
