@@ -94,15 +94,28 @@ def _check_tol(tol: float) -> None:
         raise ParameterError(f"tol={tol!r} outside [1e-15, 1e-6]")
 
 
+def _padded(coeffs: Tuple[float, ...]) -> Tuple[float, ...]:
+    return tuple(coeffs) + (0.0,) * (5 - len(coeffs))
+
+
+def _horner_error(c: Tuple[float, ...]) -> float:
+    """Bound on the rounding error of Horner's rule, and of the Bernstein
+    coefficients, on the quartic of padded coefficients c anywhere on [0, 1];
+    inf where a coefficient is NaN or infinite, or so large that a partial
+    sum could overflow, so that no check passes."""
+    s = abs(c[0]) + abs(c[1]) + abs(c[2]) + abs(c[3]) + abs(c[4])
+    return _HORNER_ERR * s + 2.0 ** -1070 if s < 2.0 ** 1000 else float("inf")
+
+
 def _certified_negative(coeffs: Tuple[float, ...], x: float) -> bool:
     """True where Horner's rule on the quartic of ascending coefficients
     coeffs is negative in floats on all of [0, x], x <= 1: its Bernstein
     coefficients on [0, x] bound it above and lie below minus the rounding
     error. A NaN or infinite coefficient is never certified."""
-    c0, c1, c2, c3, c4 = tuple(coeffs) + (0.0,) * (5 - len(coeffs))
+    c0, c1, c2, c3, c4 = c = _padded(coeffs)
     x2 = x * x
     a1, a2, a3, a4 = c1 * x, c2 * x2, c3 * (x2 * x), c4 * (x2 * x2)
-    bound = -_HORNER_ERR * sum(map(abs, (c0, c1, c2, c3, c4))) - 2.0 ** -1070
+    bound = -_horner_error(c)
     return (c0 < bound and c0 + a1 / 4.0 < bound
             and c0 + a1 / 2.0 + a2 / 6.0 < bound
             and c0 + 0.75 * a1 + a2 / 2.0 + a3 / 4.0 < bound
@@ -132,12 +145,52 @@ def _first_nonnegative(cond: RadiusCondition) -> Tuple[int, Optional[float]]:
     return hi, h_hi
 
 
+def _root_window(cond: RadiusCondition, lo: float,
+                 hi: float) -> Tuple[float, float]:
+    """A window (a, b) in the step [lo, hi] of the polynomial condition cond
+    outside which the float sign of h is proven: negative on [lo, a],
+    positive on [b, hi]. With E the Horner error bound, exact h' is at least
+    dmin > 4E on the step (h'(lo) by Horner, less 4E, which bounds its
+    rounding, and less the step times a bound on |h''|), so exact h
+    increases there and float h' stays positive. Three Newton steps from the
+    midpoint, clamped to the step, give x; a and b lie 4E/dmin either side
+    of it, clamped to lo and hi, and float h(a) < -2E, h(b) > 2E put exact h
+    below -E up to a and above E from b. Where any check fails, (lo, hi)."""
+    c0, c1, c2, c3, c4 = c = _padded(cond.coeffs)
+    err = _horner_error(c)
+    d2, d3, d4 = 2.0 * c2, 3.0 * c3, 4.0 * c4
+    dmin = (((d4 * lo + d3) * lo + d2) * lo + c1
+            - (4.0 * err + (2.0 * abs(c2) + 6.0 * abs(c3) + 12.0 * abs(c4))
+               * (hi - lo)) * (1.0 + 2.0 ** -40))  # the slack covers rounding
+    if not dmin > 4.0 * err:
+        return lo, hi
+    x = 0.5 * (lo + hi)
+    for _ in range(3):
+        x -= cond(x) / (((d4 * x + d3) * x + d2) * x + c1)
+        x = lo if x < lo else hi if x > hi else x
+    delta = 4.0 * err / dmin
+    a, b = x - delta, x + delta
+    if ((a <= lo or cond(a) < -2.0 * err)
+            and (b >= hi or cond(b) > 2.0 * err)):
+        return (a if a > lo else lo), (b if b < hi else hi)
+    return lo, hi
+
+
 def smallest_root_in_01(cond: RadiusCondition,
                         tol: float = DEFAULT_TOL) -> RadiusResult:
     """Locate the least r in (0, 1) with h(r) = 0: the first point of the
     1e-3 grid where h is not negative (_first_nonnegative), then bisection
-    of the step before it to width <= tol. A NaN value of h is neither
-    negative nor a sign change: it raises NoRootError."""
+    of the step before it to width <= tol. On a quartic the bisection
+    evaluates h only at midpoints inside _root_window's (a, b), and takes
+    the sign proven there everywhere else, so its brackets are those of
+    evaluating every midpoint. A NaN value of h is neither negative nor a
+    sign change: it raises NoRootError.
+
+    The bracket holds the first float sign change of h, which need not be
+    near a root where h touches zero: on the double root of
+    (r - 0.3)^2 (r - 0.7) it lies 7.6e-9 below 0.3, where the float h is
+    already nonnegative. The window is refused there, as h' is not proven
+    positive on the step."""
     _check_tol(tol)
     h0 = cond(0.0)
     if not h0 < 0.0:
@@ -152,16 +205,23 @@ def smallest_root_in_01(cond: RadiusCondition,
     if hk != hk:
         raise _no_root(cond, f"condition is NaN at r={hi!r}", h0)
 
+    a, b = (_root_window(cond, lo, hi) if cond.kind is ConditionKind.POLYNOMIAL
+            else (lo, hi))
     iterations = 0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        hm = cond(mid)
-        if hm < 0.0:
+        if mid <= a:
             lo = mid
-        elif hm >= 0.0:
+        elif mid >= b:
             hi = mid
         else:
-            raise _no_root(cond, f"condition is NaN at r={mid!r}", h0)
+            hm = cond(mid)
+            if hm < 0.0:
+                lo = mid
+            elif hm >= 0.0:
+                hi = mid
+            else:
+                raise _no_root(cond, f"condition is NaN at r={mid!r}", h0)
         iterations += 1
     rho = 0.5 * (lo + hi)
     return RadiusResult(rho=rho, residual=abs(cond(rho)), bracket=(lo, hi),

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -373,6 +374,23 @@ def test_table_output_byte_identical(argv, name, capsys):
     # report fields must not move by a single printed digit
     assert cli.main(argv) == 0
     assert capsys.readouterr().out.encode() == (DATA / name).read_bytes()
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["table", "--class", "g1", "--b-start", "-1", "--b-end", "0",
+      "--b-steps", "2001"],
+     "805d8347fc175d4183a1baa8274b64ca940b99b0bdf03ab609833206db6310dd"),
+    (["table", "--class", "g2", "--b-start", "-1", "--b-end",
+      "0.3333333333333333", "--b-steps", "2001"],
+     "24c8258cf629d30b9ee2320c79ab4b0b65c3f9eef272e0d20bcbd0b7fabc355d"),
+])
+def test_dense_table_byte_identical(argv, digest, capsys):
+    # the two 2001-row tables (24,012 and 18,009 cells), pinned by the
+    # sha256 of their bytes, so that every printed digit of every root the
+    # solver brackets stays put
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == digest
 
 
 _ENDS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)

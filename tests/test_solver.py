@@ -1,5 +1,6 @@
 import math
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -291,6 +292,81 @@ def test_certificate_refuses_nonfinite_and_touching_quartics():
     assert not solver._certified_negative((-0.5, 1.0), math.nextafter(0.5, 0.0))
 
 
+def _exact(coeffs, x, derivative=False):
+    # h(x), or h'(x), of the stored float coefficients in exact arithmetic
+    x = Fraction(x)
+    terms = [(i, Fraction(c)) for i, c in enumerate(coeffs)]
+    if derivative:
+        return sum(i * c * x ** (i - 1) for i, c in terms if i)
+    return sum(c * x ** i for i, c in terms)
+
+
+def test_library_quartics_root_window_proven():
+    # bisection skips every midpoint outside the window (a, b): on every
+    # library quartic the window is narrower than the step, the exact h of
+    # the stored coefficients is below minus the Horner error bound at a and
+    # above it at b wherever they lie inside the step, and h' is positive at
+    # both ends of the step
+    polynomial = set(Family) - {Family.RATIONAL_RL}
+    n = 0
+    for cell, cond in _library_conditions(polynomial):
+        k = first_stop(cond)
+        lo, hi = (k - 1) * SCAN_STEP, k * SCAN_STEP
+        a, b = solver._root_window(cond, lo, hi)
+        err = Fraction(solver._horner_error(solver._padded(cond.coeffs)))
+        assert lo <= a < b <= hi and b - a < hi - lo, cell
+        assert a == lo or _exact(cond.coeffs, a) < -err, cell
+        assert b == hi or _exact(cond.coeffs, b) > err, cell
+        assert _exact(cond.coeffs, lo, True) > 0, cell
+        assert _exact(cond.coeffs, hi, True) > 0, cell
+        n += 1
+    assert n == 2 * 41 * 15 + 41 * 2
+
+
+def test_root_window_refused():
+    # where the checks fail the window is the whole step: a NaN or infinite
+    # coefficient, and the double root of (r - 0.3)^2 (r - 0.7), whose float
+    # sign changes 7.6e-9 below 0.3 in the step [0.299, 0.3]
+    for coeffs in ((math.nan, 1.0), (-0.3, math.nan), (-math.inf, 1.0),
+                   (-0.3, 1.0, 0.0, 0.0, math.inf), (-0.3, -math.inf, 4.0)):
+        assert solver._root_window(_poly_condition(coeffs), 0.299, 0.3) \
+            == (0.299, 0.3), coeffs
+    cond = _poly_condition(np.poly([0.3, 0.3, 0.7])[::-1])
+    assert first_stop(cond) == 300
+    assert solver._root_window(cond, 0.299, 0.3) == (0.299, 0.3)
+    # 1e6 t^3 - 0.0675 t + c, t = r - 0.3002, has h' > 0 at 0.3 but a local
+    # maximum and minimum inside the step: Newton finds the root 0.30052, yet
+    # h is not proven increasing on [0.3, 0.301]
+    t = np.poly1d([1.0, -0.3002])
+    cubic = 1e6 * t ** 3 - 0.0675 * t - (1e6 * 3.2e-4 ** 3 - 0.0675 * 3.2e-4)
+    cond = _poly_condition(cubic.coeffs[::-1])
+    assert first_stop(cond) == 301
+    assert solver._root_window(cond, 0.3, 0.301) == (0.3, 0.301)
+
+
+def test_quartic_cell_h_evaluations(monkeypatch):
+    # one evaluation at 0, about ten in the grid search, five to place the
+    # window, the few midpoints inside it and the residual: at most 20 per
+    # library quartic cell, where every bisection midpoint took one (42)
+    calls = []
+    call = RadiusCondition.__call__
+
+    def counted(cond, r):
+        calls.append(r)
+        return call(cond, r)
+
+    monkeypatch.setattr(RadiusCondition, "__call__", counted)
+    for class_id in ClassId:
+        for t in supported_targets(class_id):
+            if t.family is Family.RATIONAL_RL:
+                continue
+            cond = assemble_condition(make_class(class_id, -1.0), t)
+            calls.clear()
+            res = smallest_root_in_01(cond)
+            assert res.iterations == 30, (class_id, t.label())
+            assert len(calls) <= 20, (class_id, t.label(), len(calls))
+
+
 def _outcome(find_root, cond):
     try:
         return repr(find_root(cond))
@@ -312,6 +388,13 @@ _ROOT = st.one_of(_GRID_POINT, st.floats(0.0, 1.0), st.floats(-2.0, 3.0))
 # and two roots inside one grid step
 @example([0.3, 0.3, 0.7], 1.0, None)
 @example([0.3002, 0.3007, 0.9], 1.0, None)
+# the bisection's first midpoint falls inside the root window, and a root
+# within the window's half-width of a grid point clamps it to the step
+@example([0.3005], 1.0, None)
+@example([0.2 + 1e-14, 0.7], 1.0, None)
+# three roots in one step: Newton finds the first, the bisection the last,
+# and h' is not proven positive across the step, so the window is refused
+@example([0.3006, 0.3007, 0.3009], 1.0, None)
 def test_root_matches_point_by_point_scan(roots, scale, nan_stretch):
     # quartics (and lower) with roots anywhere, on grid points too, negative
     # at 0 unless 0 is a root, and optionally NaN on [a, a + w): the binary
