@@ -3,25 +3,44 @@ quartic radius condition that clears its denominator."""
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Callable, Tuple
 
 from .core import ClassId, ClassSpec, DiskSpec, DomainError
 
 
+def disk_map(spec: ClassSpec) -> Callable[[float], Tuple[float, float, float]]:
+    """The map r -> (center, radius, den) of disk(spec, r) as plain floats,
+    bound once for the class and magnitude of spec."""
+    m = spec.coeff_mag
+    a = 1.0 + m
+    if spec.class_id is ClassId.G1:
+        a2, m2 = 2.0 * a, 2.0 * m
+
+        def disk_at(r):
+            if not (0.0 <= r < 1.0):
+                raise DomainError(f"r={r!r} outside [0, 1)")
+            s = r * r
+            w = 1.0 - s
+            den = w * (s + m2 * r + 1.0)
+            num = 2.0 * (a * r ** 3 + a2 * r ** 2 + a * r)
+            return (1.0 + s) / w, num / den, den
+    else:
+        b = 4.0 + m
+
+        def disk_at(r):
+            if not (0.0 <= r < 1.0):
+                raise DomainError(f"r={r!r} outside [0, 1)")
+            s = r * r
+            w = 1.0 - s
+            den = w * (s + m * r + 1.0)
+            return 1.0 / w, (a * r ** 3 + b * r ** 2 + a * r) / den, den
+
+    return disk_at
+
+
 def disk(spec: ClassSpec, r: float) -> DiskSpec:
     """Disk containing zf'/f on |z| = r for the class of spec."""
-    if not (0.0 <= r < 1.0):
-        raise DomainError(f"r={r!r} outside [0, 1)")
-    m = spec.coeff_mag
-    if spec.class_id is ClassId.G1:
-        center = (1.0 + r * r) / (1.0 - r * r)
-        num = 2.0 * ((1.0 + m) * r ** 3 + 2.0 * (1.0 + m) * r ** 2 + (1.0 + m) * r)
-        den = (1.0 - r * r) * (r * r + 2.0 * m * r + 1.0)
-    else:
-        center = 1.0 / (1.0 - r * r)
-        num = (1.0 + m) * r ** 3 + (4.0 + m) * r ** 2 + (1.0 + m) * r
-        den = (1.0 - r * r) * (r * r + m * r + 1.0)
-    return DiskSpec(center, num / den, den)
+    return DiskSpec(*disk_map(spec)(r))
 
 
 def quartic(class_id: ClassId, m: float, p: float,

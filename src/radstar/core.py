@@ -178,7 +178,10 @@ class RadiusCondition(_ConditionFields):
     h takes a float r; a polynomial condition is evaluated by Horner's rule,
     unrolled once here. monotone_signs states that the float signs of h on
     the solver's scan grid change once, from negative to nonnegative, as an
-    analytic argument proves for the conditions assemble_condition sets it on.
+    analytic argument proves for the conditions assemble_condition sets it on:
+    the RL conditions, h = den * G with den > 0 and exact G increasing. On a
+    composite condition the solver reads it as that argument, and bounds the
+    rounding of the RL evaluator to place a root window.
     h, the Horner closure or the evaluator, is an instance attribute beside
     the six fields (the class has no __slots__), so ==, hash and repr read
     the fields alone."""

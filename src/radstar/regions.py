@@ -347,12 +347,10 @@ def containment_threshold(t: TargetSpec, c: float) -> float:
     outside its left loop."""
     if c < 1.0:
         raise ParameterError(f"center c={c!r} below 1")
-    affine = FAMILIES[t.family].threshold
-    if affine is not None:
-        p, q = affine(t)
-        return p + q * c
-    # RL, the one family whose threshold is not affine in c
-    if c >= SQRT2:
-        return 0.0
-    t2 = 1.0 - (SQRT2 - c) ** 2  # in (0.8, 1] for c in [1, sqrt2)
-    return math.sqrt(math.sqrt(t2) - t2)
+    if t.family is Family.RATIONAL_RL:  # the one threshold not affine in c
+        if c >= SQRT2:
+            return 0.0
+        t2 = 1.0 - (SQRT2 - c) ** 2  # in (0.8, 1] for c in [1, sqrt2)
+        return math.sqrt(math.sqrt(t2) - t2)
+    p, q = FAMILIES[t.family].threshold(t)
+    return p + q * c

@@ -15,6 +15,8 @@ _SCAN_STEP, _SCAN_END = 1e-3, 1000  # the grid: k * _SCAN_STEP, 0 < k < _SCAN_EN
 # (Higham, Accuracy and Stability of Numerical Algorithms, 5.1), the Bernstein
 # coefficients by gamma_10 * sum |c_i|: 2 ** -47 bounds both, 2 ** -1070 underflow.
 _HORNER_ERR = 2.0 ** -47
+_U = 2.0 ** -53  # the unit roundoff of a double
+_SLACK = 1.0 + 2.0 ** -40  # raises a bound computed in floats over its rounding
 DEFAULT_TOL = 1e-12
 
 
@@ -27,11 +29,15 @@ def _stated(class_id: ClassId, t: TargetSpec, fd: regions.FamilyDef) -> bool:
 
 
 def _rl_evaluator(spec: ClassSpec, t: TargetSpec, printed_center: bool):
+    """h = radius * den - threshold(c) * den on [0, 1), c the disk center or,
+    for the printed reading, 1/(1 - r^2); the disk map is bound once."""
+    disk_at = bounds.disk_map(spec)
+
     def h(r):
-        d = bounds.disk(spec, r)
-        c = 1.0 / (1.0 - r * r) if printed_center else d.center
+        center, radius, den = disk_at(r)
+        c = 1.0 / (1.0 - r * r) if printed_center else center
         thr = regions.containment_threshold(t, c)  # never negative for RL
-        return d.radius * d.den - thr * d.den
+        return radius * den - thr * den
 
     return h
 
@@ -66,9 +72,12 @@ def assemble_condition(spec: ClassSpec, t: TargetSpec,
     affine = fd.threshold
     if affine is None:  # RL: the threshold is not affine in the center
         printed_center = variant is not Variant.CENTER_CORRECTED
-        # one sign change on the grid, in floats too: the disk radius grows
-        # with r, the threshold falls as the center grows from 1 to sqrt2,
-        # and from sqrt2 on it is 0 while the radius is positive
+        # h = den * G with den > 0 and exact G = radius - threshold
+        # strictly increasing on [0, 1): the disk radius grows with r, the
+        # threshold falls as the center grows from 1 to sqrt2, and from
+        # sqrt2 on it is 0. So h changes sign once, its float signs on the
+        # grid too, and _rl_root_window proves the float sign of h outside
+        # a window around the root from G's growth
         return RadiusCondition(ConditionKind.COMPOSITE, variant,
                                evaluator=_rl_evaluator(spec, t, printed_center),
                                extrapolation=extrapolation, monotone_signs=True)
@@ -107,57 +116,76 @@ def _horner_error(c: Tuple[float, ...]) -> float:
     return _HORNER_ERR * s + 2.0 ** -1070 if s < 2.0 ** 1000 else float("inf")
 
 
-def _certified_negative(coeffs: Tuple[float, ...], x: float) -> bool:
-    """True where Horner's rule on the quartic of ascending coefficients
-    coeffs is negative in floats on all of [0, x], x <= 1: its Bernstein
-    coefficients on [0, x] bound it above and lie below minus the rounding
-    error. A NaN or infinite coefficient is never certified."""
-    c0, c1, c2, c3, c4 = c = _padded(coeffs)
+def _certified_negative(c: Tuple[float, ...], err: float, x: float) -> bool:
+    """True where Horner's rule on the quartic of padded coefficients c is
+    negative in floats on all of [0, x], x <= 1: its Bernstein coefficients
+    on [0, x] bound it above and lie below minus the rounding error bound
+    err = _horner_error(c). A NaN or infinite coefficient is never
+    certified."""
+    c0, c1, c2, c3, c4 = c
     x2 = x * x
     a1, a2, a3, a4 = c1 * x, c2 * x2, c3 * (x2 * x), c4 * (x2 * x2)
-    bound = -_horner_error(c)
+    bound = -err
     return (c0 < bound and c0 + a1 / 4.0 < bound
             and c0 + a1 / 2.0 + a2 / 6.0 < bound
             and c0 + 0.75 * a1 + a2 / 2.0 + a3 / 4.0 < bound
             and c0 + a1 + a2 + a3 + a4 < bound)
 
 
-def _first_nonnegative(cond: RadiusCondition) -> Tuple[int, Optional[float]]:
-    """The first k in 1 .. 999 with h(k * _SCAN_STEP) not negative, and that
-    value, or (_SCAN_END, None). A binary search ends at adjacent lo, hi with
-    h negative at lo (or lo = 0) and not at hi: hi is the point-by-point
-    walk's answer where h is proven negative at every grid point up to lo."""
-    lo, hi, h_hi = 0, _SCAN_END, None
+def _first_nonnegative(
+        cond: RadiusCondition, h0: float, c: Optional[Tuple[float, ...]],
+        err: Optional[float]) -> Tuple[int, float, Optional[float]]:
+    """The first k in 1 .. 999 with h(k * _SCAN_STEP) not negative, with h
+    at the grid point before it (h0 = h(0) where k = 1) and at k, or
+    (_SCAN_END, h(0.999), None). A binary search ends at adjacent lo, hi
+    with h negative at lo (or lo = 0) and not at hi: hi is the
+    point-by-point walk's answer where h is proven negative at every grid
+    point up to lo, by monotone_signs or, for a quartic of padded
+    coefficients c and Horner error bound err, _certified_negative."""
+    lo, hi, h_lo, h_hi = 0, _SCAN_END, h0, None
     while hi - lo > 1:
         mid = (lo + hi) // 2
         h = cond(mid * _SCAN_STEP)
         if h < 0.0:
-            lo = mid
+            lo, h_lo = mid, h
         else:
             hi, h_hi = mid, h
     if not (cond.monotone_signs or (
-            cond.kind is ConditionKind.POLYNOMIAL
-            and _certified_negative(cond.coeffs, lo * _SCAN_STEP))):
+            c is not None and _certified_negative(c, err, lo * _SCAN_STEP))):
+        h_lo = h0
         for k in range(1, hi):  # the walk
             h = cond(k * _SCAN_STEP)
             if not h < 0.0:
-                return k, h
-    return hi, h_hi
+                return k, h_lo, h
+            h_lo = h
+    return hi, h_lo, h_hi
 
 
-def _root_window(cond: RadiusCondition, lo: float,
-                 hi: float) -> Tuple[float, float]:
-    """A window (a, b) in the step [lo, hi] of the polynomial condition cond
-    outside which the float sign of h is proven: negative on [lo, a],
-    positive on [b, hi]. With E the Horner error bound, exact h' is at least
-    dmin > 4E on the step (h'(lo) by Horner, less 4E, which bounds its
-    rounding, and less the step times a bound on |h''|), so exact h
-    increases there and float h' stays positive. Three Newton steps from the
+def _window(cond: RadiusCondition, lo: float, hi: float, x: float,
+            delta: float, bound: float) -> Tuple[float, float]:
+    """(x - delta, x + delta), clamped to [lo, hi], where float h is below
+    -bound at its lower end and above bound at its upper end (an end
+    clamped to the step is not evaluated); (lo, hi) where either check
+    fails."""
+    a, b = x - delta, x + delta
+    if ((a <= lo or cond(a) < -bound)
+            and (b >= hi or cond(b) > bound)):
+        return (a if a > lo else lo), (b if b < hi else hi)
+    return lo, hi
+
+
+def _root_window(cond: RadiusCondition, lo: float, hi: float,
+                 c: Tuple[float, ...], err: float) -> Tuple[float, float]:
+    """A window (a, b) in the step [lo, hi] of the polynomial condition cond,
+    of padded coefficients c, outside which the float sign of h is proven:
+    negative on [lo, a], positive on [b, hi]. With E = err the Horner error
+    bound, exact h' is at least dmin > 4E on the step (h'(lo) by Horner,
+    less 4E, which bounds its rounding, and less the step times a bound on
+    |h''|), so exact h increases there and float h' stays positive. Three Newton steps from the
     midpoint, clamped to the step, give x; a and b lie 4E/dmin either side
     of it, clamped to lo and hi, and float h(a) < -2E, h(b) > 2E put exact h
     below -E up to a and above E from b. Where any check fails, (lo, hi)."""
-    c0, c1, c2, c3, c4 = c = _padded(cond.coeffs)
-    err = _horner_error(c)
+    c0, c1, c2, c3, c4 = c
     d2, d3, d4 = 2.0 * c2, 3.0 * c3, 4.0 * c4
     dmin = (((d4 * lo + d3) * lo + d2) * lo + c1
             - (4.0 * err + (2.0 * abs(c2) + 6.0 * abs(c3) + 12.0 * abs(c4))
@@ -168,23 +196,85 @@ def _root_window(cond: RadiusCondition, lo: float,
     for _ in range(3):
         x -= cond(x) / (((d4 * x + d3) * x + d2) * x + c1)
         x = lo if x < lo else hi if x > hi else x
-    delta = 4.0 * err / dmin
-    a, b = x - delta, x + delta
-    if ((a <= lo or cond(a) < -2.0 * err)
-            and (b >= hi or cond(b) > 2.0 * err)):
-        return (a if a > lo else lo), (b if b < hi else hi)
-    return lo, hi
+    return _window(cond, lo, hi, x, 4.0 * err / dmin, 2.0 * err)
+
+
+def _rl_rounding_bound(lo: float, hi: float) -> Tuple[float, float]:
+    """(E, rho) on the step [lo, hi] of the RL condition: E bounds
+    |fl(h)(x) - H(x)| at every float x of the step, and rho bounds
+    den_max / den_min there. H is exact h = N - T(c) D, with N = radius * den
+    and D = den exact, T the RL threshold, and the floats m and SQRT2 taken
+    as exact. E is inf where the center can reach sqrt2 on the step.
+
+    With u = 2^-53, Higham's standard model, a correctly rounded sqrt and
+    pow within one ulp (2u), and magnitudes bounded at the step's ends:
+    - every reading's center is at most C = (1 + hi^2)/(1 - hi^2); with
+      e_min = sqrt2 - C > 0, 1/(1 - x^2) < sqrt2 bounds the relative error
+      of 1 - x*x by 1.42u, of the center by 4.42u and of den by 5.42u;
+    - the numerator is within 6u N, so radius * den, where den's rounding
+      cancels, is within 8.01u N;
+    - with e = sqrt2 - c <= sqrt2 - 1 and t2 = 1 - e^2 >= 0.828, the error
+      is at most 6.7u in e, 5.9u in e^2, 6.9u in t2, 4.8u in sqrt(t2) and
+      11.8u in d = sqrt(t2) - t2; exact d is at least 0.476 e^2, so
+      T = sqrt(d) >= 0.69 e_min, and the threshold is within
+      18u / e_min + 0.3u of T, T <= 0.286;
+    - threshold * den is then within (18u / e_min + 2.3u) D, and the last
+      subtraction adds u (N + T D): E = u (10 N + (18 / e_min + 3) D).
+    For m <= 2 (both classes), N <= 4x(1 + x)^2 and D <= (1 + x)^2 at
+    x = hi. D is (1 - x^2) X with X = x^2 + 2mx + 1 (or x^2 + mx + 1) at
+    least 1 and growing at most 2(1 + hi) per unit of x, so
+    rho = (1 - lo^2)/(1 - hi^2) (1 + 2(hi - lo)(1 + hi)). Each bound is
+    raised by _SLACK, which covers the rounding of its own evaluation."""
+    w = 1.0 - hi * hi
+    e_min = regions.SQRT2 - (1.0 + hi * hi) / w * _SLACK
+    if not e_min > 0.0:
+        return float("inf"), float("inf")
+    n_max, d_max = 4.0 * hi * (1.0 + hi) ** 2, (1.0 + hi) ** 2
+    err = (10.0 * n_max + (18.0 / e_min + 3.0) * d_max) * _U + 2.0 ** -1070
+    rho = (1.0 - lo * lo) / w * (1.0 + 2.0 * (hi - lo) * (1.0 + hi))
+    return err * _SLACK, rho * _SLACK
+
+
+def _rl_root_window(cond: RadiusCondition, lo: float, hi: float,
+                    h_lo: float, h_hi: float) -> Tuple[float, float]:
+    """A window (a, b) in the step [lo, hi] of the RL condition cond outside
+    which the float sign of h is proven: negative on [lo, a], positive on
+    [b, hi]; h_lo < 0 <= h_hi are h at lo and hi. h = D G with D = den > 0
+    and exact G = radius - threshold increasing (the monotone_signs
+    argument). With (E, rho) = _rl_rounding_bound(lo, hi), float
+    h(a) < -E (1 + rho) puts exact h(a) below -E rho, so for x <= a exact
+    h(x) = D(x) G(x) <= D(x) h(a) / D(a) < -E, as D(a) / D(x) <= rho, and
+    float h(x) < 0; float h(b) > E (1 + rho) gives float h > 0 on [b, hi]
+    alike. Three secant steps from (lo, h_lo) and (hi, h_hi), the last
+    not evaluated, place x; a and b lie 4E (1 + rho) / s either side of
+    it, s the slope of the secant over the step, clamped to lo and hi.
+    Where any check fails, (lo, hi)."""
+    err, rho = _rl_rounding_bound(lo, hi)
+    bound = err * (1.0 + rho)
+    if not (h_lo < 0.0 <= h_hi and bound < float("inf")):
+        return lo, hi
+    x0, f0, x, fx = lo, h_lo, hi, h_hi
+    for i in range(3):
+        if fx == f0:
+            break
+        x0, f0, x = x, fx, x - fx * (x - x0) / (fx - f0)
+        x = lo if x < lo else hi if x > hi else x
+        if i < 2:
+            fx = cond(x)
+    return _window(cond, lo, hi, x, 4.0 * bound * (hi - lo) / (h_hi - h_lo),
+                   bound)
 
 
 def smallest_root_in_01(cond: RadiusCondition,
                         tol: float = DEFAULT_TOL) -> RadiusResult:
     """Locate the least r in (0, 1) with h(r) = 0: the first point of the
     1e-3 grid where h is not negative (_first_nonnegative), then bisection
-    of the step before it to width <= tol. On a quartic the bisection
-    evaluates h only at midpoints inside _root_window's (a, b), and takes
-    the sign proven there everywhere else, so its brackets are those of
-    evaluating every midpoint. A NaN value of h is neither negative nor a
-    sign change: it raises NoRootError.
+    of the step before it to width <= tol. On a quartic and on the RL
+    condition the bisection evaluates h only at midpoints inside a proven
+    root window (a, b) (_root_window, _rl_root_window), and takes the sign
+    proven there everywhere else, so its brackets are those of evaluating
+    every midpoint. A NaN value of h is neither negative nor a sign
+    change: it raises NoRootError.
 
     The bracket holds the first float sign change of h, which need not be
     near a root where h touches zero: on the double root of
@@ -198,15 +288,23 @@ def smallest_root_in_01(cond: RadiusCondition,
             raise ParameterError(f"condition is nonnegative at r=0 (h(0)={h0!r})")
         raise _no_root(cond, "condition is NaN at r=0.0", h0)
 
-    k, hk = _first_nonnegative(cond)
+    c = err = None
+    if cond.kind is ConditionKind.POLYNOMIAL:
+        c = _padded(cond.coeffs)
+        err = _horner_error(c)
+    k, h_lo, h_hi = _first_nonnegative(cond, h0, c, err)
     if k == _SCAN_END:
         raise _no_root(cond, "no sign change in (0, 1)", h0)
     lo, hi = (k - 1) * _SCAN_STEP, k * _SCAN_STEP
-    if hk != hk:
+    if h_hi != h_hi:
         raise _no_root(cond, f"condition is NaN at r={hi!r}", h0)
 
-    a, b = (_root_window(cond, lo, hi) if cond.kind is ConditionKind.POLYNOMIAL
-            else (lo, hi))
+    if c is not None:
+        a, b = _root_window(cond, lo, hi, c, err)
+    elif cond.monotone_signs:
+        a, b = _rl_root_window(cond, lo, hi, h_lo, h_hi)
+    else:
+        a, b = lo, hi
     iterations = 0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
@@ -271,11 +369,12 @@ def radius_table(class_id: ClassId, specs: Iterable[ClassSpec],
     _check_tol(tol)
     specs = sorted(specs, key=lambda s: s.b)
     cells: List[TableCell] = []
+    variants = [_reading(class_id, regions.FAMILIES[t.family], policy)
+                for t in targets]
     for spec in specs:
         if spec.class_id is not class_id:
             raise ParameterError("spec/class mismatch in radius_table")
-        for t in targets:
-            variant = _reading(class_id, regions.FAMILIES[t.family], policy)
+        for t, variant in zip(targets, variants):
             try:
                 res = compute_radius(spec, t, policy, tol, extended)
                 cells.append(TableCell(spec, t, variant, res, None))

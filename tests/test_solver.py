@@ -8,9 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from radstar import bounds, regions, solver
-from radstar.core import (CLASSES, ClassId, ConditionKind, Family, NoRootError,
-                          ParameterError, RadiusCondition, TargetSpec,
-                          UnsupportedCombinationError, Variant,
+from radstar.core import (CLASSES, ClassId, ConditionKind, DomainError,
+                          Family, NoRootError, ParameterError, RadiusCondition,
+                          TargetSpec, UnsupportedCombinationError, Variant,
                           class_from_coeff_mag, default_target, make_class)
 from radstar.solver import (assemble_condition, compute_radius, radius_table,
                             smallest_root_in_01, supported_targets)
@@ -252,6 +252,16 @@ def _library_conditions(families):
                         yield (class_id, mag, t, policy), cond
 
 
+def _certified(coeffs, x):
+    c = solver._padded(coeffs)
+    return solver._certified_negative(c, solver._horner_error(c), x)
+
+
+def _quartic_window(cond, lo, hi):
+    c = solver._padded(cond.coeffs)
+    return solver._root_window(cond, lo, hi, c, solver._horner_error(c))
+
+
 def test_library_quartics_certified_at_scan_step():
     # the binary search stands in for the point-by-point walk where the
     # Bernstein certificate proves h negative at every grid point before the
@@ -262,7 +272,7 @@ def test_library_quartics_certified_at_scan_step():
     for cell, cond in _library_conditions(polynomial):
         k = first_stop(cond)
         assert k is not None, cell
-        assert solver._certified_negative(cond.coeffs, (k - 1) * SCAN_STEP), cell
+        assert _certified(cond.coeffs, (k - 1) * SCAN_STEP), cell
         n += 1
     assert n == 2 * 41 * 15 + 41 * 2  # g1 nephroid has two more readings
 
@@ -282,14 +292,14 @@ def test_rl_signs_monotone_on_grid():
 
 
 def test_certificate_refuses_nonfinite_and_touching_quartics():
-    assert solver._certified_negative((-1.0, 0.5), 0.999)
+    assert _certified((-1.0, 0.5), 0.999)
     for coeffs in ((math.nan, 0.5), (-1.0, math.inf), (-math.inf,),
                    (-1.0, 0.0, 0.0, 0.0, -math.inf)):
-        assert not solver._certified_negative(coeffs, 0.5), coeffs
+        assert not _certified(coeffs, 0.5), coeffs
     # -(r - 0.3)^2 is negative on [0, 0.5] except at 0.3, where it is 0
-    assert not solver._certified_negative((-0.09, 0.6, -1.0), 0.5)
+    assert not _certified((-0.09, 0.6, -1.0), 0.5)
     # negative on [0, x], but by less than the rounding error at x
-    assert not solver._certified_negative((-0.5, 1.0), math.nextafter(0.5, 0.0))
+    assert not _certified((-0.5, 1.0), math.nextafter(0.5, 0.0))
 
 
 def _exact(coeffs, x, derivative=False):
@@ -312,7 +322,7 @@ def test_library_quartics_root_window_proven():
     for cell, cond in _library_conditions(polynomial):
         k = first_stop(cond)
         lo, hi = (k - 1) * SCAN_STEP, k * SCAN_STEP
-        a, b = solver._root_window(cond, lo, hi)
+        a, b = _quartic_window(cond, lo, hi)
         err = Fraction(solver._horner_error(solver._padded(cond.coeffs)))
         assert lo <= a < b <= hi and b - a < hi - lo, cell
         assert a == lo or _exact(cond.coeffs, a) < -err, cell
@@ -329,11 +339,11 @@ def test_root_window_refused():
     # sign changes 7.6e-9 below 0.3 in the step [0.299, 0.3]
     for coeffs in ((math.nan, 1.0), (-0.3, math.nan), (-math.inf, 1.0),
                    (-0.3, 1.0, 0.0, 0.0, math.inf), (-0.3, -math.inf, 4.0)):
-        assert solver._root_window(_poly_condition(coeffs), 0.299, 0.3) \
+        assert _quartic_window(_poly_condition(coeffs), 0.299, 0.3) \
             == (0.299, 0.3), coeffs
     cond = _poly_condition(np.poly([0.3, 0.3, 0.7])[::-1])
     assert first_stop(cond) == 300
-    assert solver._root_window(cond, 0.299, 0.3) == (0.299, 0.3)
+    assert _quartic_window(cond, 0.299, 0.3) == (0.299, 0.3)
     # 1e6 t^3 - 0.0675 t + c, t = r - 0.3002, has h' > 0 at 0.3 but a local
     # maximum and minimum inside the step: Newton finds the root 0.30052, yet
     # h is not proven increasing on [0.3, 0.301]
@@ -341,7 +351,7 @@ def test_root_window_refused():
     cubic = 1e6 * t ** 3 - 0.0675 * t - (1e6 * 3.2e-4 ** 3 - 0.0675 * 3.2e-4)
     cond = _poly_condition(cubic.coeffs[::-1])
     assert first_stop(cond) == 301
-    assert solver._root_window(cond, 0.3, 0.301) == (0.3, 0.301)
+    assert _quartic_window(cond, 0.3, 0.301) == (0.3, 0.301)
 
 
 def test_quartic_cell_h_evaluations(monkeypatch):
@@ -365,6 +375,118 @@ def test_quartic_cell_h_evaluations(monkeypatch):
             res = smallest_root_in_01(cond)
             assert res.iterations == 30, (class_id, t.label())
             assert len(calls) <= 20, (class_id, t.label(), len(calls))
+
+
+def test_rl_evaluator_matches_disk_and_threshold():
+    # the disk map bound at assembly gives the floats of bounds.disk and
+    # the threshold through the DiskSpec, bit for bit, for both classes with
+    # either center (the printed one too where no reading assembles it)
+    t = default_target(Family.RATIONAL_RL)
+    rng = np.random.default_rng(15)
+    rs = [k * SCAN_STEP for k in range(1, 1000)] + rng.uniform(0.0, 1.0, 200).tolist()
+    specs = [class_from_coeff_mag(class_id, mag) for class_id in ClassId
+             for mag in np.linspace(0.0, CLASSES[class_id].max_mag, 41).tolist()]
+    for spec, printed in ((s, p) for s in specs for p in (False, True)):
+        h = solver._rl_evaluator(spec, t, printed)
+        for r in rs:
+            d = bounds.disk(spec, r)
+            c = 1.0 / (1.0 - r * r) if printed else d.center
+            want = d.radius * d.den - regions.containment_threshold(t, c) * d.den
+            assert struct.pack("<d", h(r)) == struct.pack("<d", want), (spec, r)
+        for r in (-0.1, 1.0, math.nan):  # refused as bounds.disk refuses it
+            with pytest.raises(DomainError):
+                h(r)
+
+
+def _rl_exact(class_id, m, printed, x):
+    # exact h = N - T(c) D of the RL condition at the float x, with the
+    # floats m and SQRT2 taken as exact
+    from mpmath import mpf, sqrt
+    x, m, s2 = mpf(x), mpf(m), mpf(regions.SQRT2)
+    if class_id is ClassId.G1:
+        n = 2 * (1 + m) * (x ** 3 + 2 * x ** 2 + x)
+        d = (1 - x ** 2) * (x ** 2 + 2 * m * x + 1)
+        c = (1 + x ** 2) / (1 - x ** 2)
+    else:
+        n = (1 + m) * x ** 3 + (4 + m) * x ** 2 + (1 + m) * x
+        d = (1 - x ** 2) * (x ** 2 + m * x + 1)
+        c = 1 / (1 - x ** 2)
+    if printed:
+        c = 1 / (1 - x ** 2)
+    if c >= s2:
+        return n
+    t2 = 1 - (s2 - c) ** 2
+    return n - sqrt(sqrt(t2) - t2) * d
+
+
+def test_library_rl_root_window_proven():
+    # on every library RL cell, at 200 bits: the rounding bound E holds at
+    # points across the step, exact h is below -E at a and above E at b,
+    # and lo <= a < b <= hi with the window narrower than the step; the
+    # result is the point-by-point scan's
+    from mpmath import mp, mpf
+    n = 0
+    with mp.workprec(200):
+        for (class_id, mag, t, policy), cond in _library_conditions(
+                {Family.RATIONAL_RL}):
+            printed = policy is not Variant.CENTER_CORRECTED
+            k = first_stop(cond)
+            lo, hi = (k - 1) * SCAN_STEP, k * SCAN_STEP
+            a, b = solver._rl_root_window(cond, lo, hi, cond(lo), cond(hi))
+            err = solver._rl_rounding_bound(lo, hi)[0]
+            assert lo <= a < b <= hi and b - a < hi - lo, (class_id, mag, policy)
+            xs = np.linspace(lo, hi, 17).tolist() + [a, b, 0.5 * (a + b)]
+            for x in xs:
+                exact = _rl_exact(class_id, mag, printed, x)
+                assert abs(mpf(cond(x)) - exact) <= err, (class_id, mag, x)
+            assert a == lo or _rl_exact(class_id, mag, printed, a) < -err
+            assert b == hi or _rl_exact(class_id, mag, printed, b) > err
+            assert (_outcome(smallest_root_in_01, cond)
+                    == _outcome(scan_smallest_root, cond)), (class_id, mag)
+            n += 1
+    assert n == 41 * 3
+
+
+def test_rl_root_window_refused():
+    # NaN values at the ends of the step or inside it, and a step on which
+    # the center can reach sqrt2, give the whole step
+    cond = assemble_condition(make_class(ClassId.G1, -1.0),
+                              default_target(Family.RATIONAL_RL))
+    k = first_stop(cond)
+    lo, hi = (k - 1) * SCAN_STEP, k * SCAN_STEP
+    assert solver._rl_root_window(cond, lo, hi, cond(lo), cond(hi)) != (lo, hi)
+    for h_lo, h_hi in ((math.nan, cond(hi)), (cond(lo), math.nan),
+                       (math.nan, math.nan), (cond(hi), cond(lo))):
+        assert solver._rl_root_window(cond, lo, hi, h_lo, h_hi) == (lo, hi)
+    nan_inside = _nan_between(lo + 1e-9, hi - 1e-9)
+    assert solver._rl_root_window(nan_inside, lo, hi, -1.0, 1.0) == (lo, hi)
+    # (1 + r^2)/(1 - r^2) reaches sqrt2 at r = sqrt2 - 1 = 0.41421...
+    for lo, hi in ((0.414, 0.415), (0.5, 0.501), (0.998, 0.999)):
+        assert solver._rl_rounding_bound(lo, hi)[0] == math.inf
+        assert solver._rl_root_window(cond, lo, hi, -1.0, 1.0) == (lo, hi)
+    assert solver._rl_rounding_bound(0.413, 0.414)[0] < math.inf
+
+
+def test_rl_cell_h_evaluations(monkeypatch):
+    # one evaluation at 0, about ten in the grid search, four to place and
+    # check the window, the few midpoints inside it and the residual: at
+    # most 20 per library RL cell, where every midpoint took one (42)
+    calls = []
+    call = RadiusCondition.__call__
+
+    def counted(cond, r):
+        calls.append(r)
+        return call(cond, r)
+
+    monkeypatch.setattr(RadiusCondition, "__call__", counted)
+    n = 0
+    for cell, cond in _library_conditions({Family.RATIONAL_RL}):
+        calls.clear()
+        res = smallest_root_in_01(cond)
+        assert res.iterations <= 30, cell
+        assert len(calls) <= 20, (cell, len(calls))
+        n += 1
+    assert n == 41 * 3
 
 
 def _outcome(find_root, cond):
