@@ -109,14 +109,23 @@ def make_class(class_id: ClassId, b: float) -> ClassSpec:
 
 def class_from_coeff_mag(class_id: ClassId, coeff_mag: float) -> ClassSpec:
     """Build a ClassSpec from the magnitude alone, using the representative b
-    with a negative coefficient (b <= -1/2 for g1, b <= -1/3 for g2); every
-    radius depends on b only through the magnitude."""
+    with a negative coefficient (b <= -1/2 for g1, b <= -1/3 for g2). The
+    disk bound, and so every radius computed from it, depends on b only
+    through the magnitude; the sharp radius of the class does not, and is
+    larger where the coefficient is positive."""
     cd = CLASSES[class_id]
     if not (0.0 <= coeff_mag <= cd.max_mag):
         raise ParameterError(
             f"coeff_mag={coeff_mag!r} outside [0, {cd.max_mag}] for {class_id.value}"
         )
     return ClassSpec(class_id, -(1.0 + coeff_mag) / cd.slope, float(coeff_mag))
+
+
+def _make_through_new(cls, iterable):
+    """_make, and so _replace, for a named tuple subclass whose __new__
+    checks its fields or binds more: built through cls itself, where the
+    generated _make would skip that __new__."""
+    return cls(*iterable)
 
 
 class _TargetFields(NamedTuple):
@@ -149,6 +158,8 @@ class TargetSpec(_TargetFields):
             raise ParameterError("gamma only applies to the strongly-starlike family")
         return _TargetFields.__new__(cls, family, alpha, gamma)
 
+    _make = classmethod(_make_through_new)
+
     def label(self) -> str:
         return self.family.value
 
@@ -179,9 +190,10 @@ class RadiusCondition(_ConditionFields):
     unrolled once here. monotone_signs states that the float signs of h on
     the solver's scan grid change once, from negative to nonnegative, as an
     analytic argument proves for the conditions assemble_condition sets it on:
-    the RL conditions, h = den * G with den > 0 and exact G increasing. On a
-    composite condition the solver reads it as that argument, and bounds the
-    rounding of the RL evaluator to place a root window.
+    the RL conditions, h = den * G with den > 0 and exact G increasing. It
+    vouches for the grid search only; the solver's RL root window rests on
+    the rounding bound of the evaluator that assembly builds, and is placed
+    for that evaluator alone.
     h, the Horner closure or the evaluator, is an instance attribute beside
     the six fields (the class has no __slots__), so ==, hash and repr read
     the fields alone."""
@@ -190,11 +202,13 @@ class RadiusCondition(_ConditionFields):
                 coeffs: Optional[Tuple[float, ...]] = None,
                 evaluator: Optional[Callable[[float], float]] = None,
                 extrapolation: bool = False, monotone_signs: bool = False):
-        self = _ConditionFields.__new__(cls, kind, variant, coeffs, evaluator,
-                                        extrapolation, monotone_signs)
+        self = tuple.__new__(cls, (kind, variant, coeffs, evaluator,
+                                   extrapolation, monotone_signs))
         self._h = (_horner(coeffs) if kind is ConditionKind.POLYNOMIAL
                    else evaluator)
         return self
+
+    _make = classmethod(_make_through_new)
 
     def __call__(self, r: float) -> float:
         return self._h(r)
@@ -205,9 +219,12 @@ def _horner(coeffs: Tuple[float, ...]) -> Callable[[float], float]:
     starting at acc = 0.0, unrolled for degree at most 4. The first step's
     0.0 * r is +0.0 for every r in [+0.0, 1), so it is folded into
     0.0 + c4; the leading zeros that pad a shorter tuple keep acc at +0.0."""
-    if len(coeffs) > 5:
-        raise ParameterError(f"{len(coeffs)} coefficients; at most 5 (degree 4)")
-    c0, c1, c2, c3, c4 = tuple(coeffs) + (0.0,) * (5 - len(coeffs))
+    n = len(coeffs)
+    if n != 5:
+        if n > 5:
+            raise ParameterError(f"{n} coefficients; at most 5 (degree 4)")
+        coeffs = tuple(coeffs) + (0.0,) * (5 - n)
+    c0, c1, c2, c3, c4 = coeffs
     a4 = 0.0 + c4
 
     def h(r):

@@ -3,7 +3,8 @@ isolation in (0, 1)."""
 
 from __future__ import annotations
 
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (Callable, Iterable, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 from . import bounds, regions
 from .core import (ClassId, ClassSpec, ConditionKind, Family, NoRootError,
@@ -30,7 +31,9 @@ def _stated(class_id: ClassId, t: TargetSpec, fd: regions.FamilyDef) -> bool:
 
 def _rl_evaluator(spec: ClassSpec, t: TargetSpec, printed_center: bool):
     """h = radius * den - threshold(c) * den on [0, 1), c the disk center or,
-    for the printed reading, 1/(1 - r^2); the disk map is bound once."""
+    for the printed reading, 1/(1 - r^2); the disk map is bound once. The
+    closure is marked rl_bounded: _rl_rounding_bound covers its rounding,
+    so the solver places _rl_root_window on it and on no other evaluator."""
     disk_at = bounds.disk_map(spec)
 
     def h(r):
@@ -39,6 +42,7 @@ def _rl_evaluator(spec: ClassSpec, t: TargetSpec, printed_center: bool):
         thr = regions.containment_threshold(t, c)  # never negative for RL
         return radius * den - thr * den
 
+    h.rl_bounded = True
     return h
 
 
@@ -47,8 +51,10 @@ def _reading(class_id: ClassId, fd: regions.FamilyDef,
     """The reading assemble_condition solves: the requested policy where it
     is one of the alternate readings the FamilyDef fd lists for the class,
     and the corrected condition everywhere else."""
-    readings = fd.readings.get(class_id, ())
-    return policy if policy in readings else Variant.CENTER_CORRECTED
+    if policy is Variant.CENTER_CORRECTED or not fd.readings:
+        return Variant.CENTER_CORRECTED
+    return (policy if policy in fd.readings.get(class_id, ())
+            else Variant.CENTER_CORRECTED)
 
 
 def assemble_condition(spec: ClassSpec, t: TargetSpec,
@@ -104,7 +110,8 @@ def _check_tol(tol: float) -> None:
 
 
 def _padded(coeffs: Tuple[float, ...]) -> Tuple[float, ...]:
-    return tuple(coeffs) + (0.0,) * (5 - len(coeffs))
+    n = len(coeffs)
+    return coeffs if n == 5 else tuple(coeffs) + (0.0,) * (5 - n)
 
 
 def _horner_error(c: Tuple[float, ...]) -> float:
@@ -133,58 +140,63 @@ def _certified_negative(c: Tuple[float, ...], err: float, x: float) -> bool:
 
 
 def _first_nonnegative(
-        cond: RadiusCondition, h0: float, c: Optional[Tuple[float, ...]],
-        err: Optional[float]) -> Tuple[int, float, Optional[float]]:
+        f: Callable[[float], float], h0: float, c: Optional[Tuple[float, ...]],
+        err: Optional[float],
+        monotone_signs: bool) -> Tuple[int, float, Optional[float]]:
     """The first k in 1 .. 999 with h(k * _SCAN_STEP) not negative, with h
     at the grid point before it (h0 = h(0) where k = 1) and at k, or
-    (_SCAN_END, h(0.999), None). A binary search ends at adjacent lo, hi
-    with h negative at lo (or lo = 0) and not at hi: hi is the
-    point-by-point walk's answer where h is proven negative at every grid
-    point up to lo, by monotone_signs or, for a quartic of padded
-    coefficients c and Horner error bound err, _certified_negative."""
+    (_SCAN_END, h(0.999), None); f evaluates h. A binary search ends at
+    adjacent lo, hi with h negative at lo (or lo = 0) and not at hi: hi is
+    the point-by-point walk's answer where h is proven negative at every
+    grid point up to lo, by the condition's monotone_signs or, for a
+    quartic of padded coefficients c and Horner error bound err,
+    _certified_negative."""
     lo, hi, h_lo, h_hi = 0, _SCAN_END, h0, None
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        h = cond(mid * _SCAN_STEP)
+        h = f(mid * _SCAN_STEP)
         if h < 0.0:
             lo, h_lo = mid, h
         else:
             hi, h_hi = mid, h
-    if not (cond.monotone_signs or (
+    if not (monotone_signs or (
             c is not None and _certified_negative(c, err, lo * _SCAN_STEP))):
         h_lo = h0
         for k in range(1, hi):  # the walk
-            h = cond(k * _SCAN_STEP)
+            h = f(k * _SCAN_STEP)
             if not h < 0.0:
                 return k, h_lo, h
             h_lo = h
     return hi, h_lo, h_hi
 
 
-def _window(cond: RadiusCondition, lo: float, hi: float, x: float,
+def _window(f: Callable[[float], float], lo: float, hi: float, x: float,
             delta: float, bound: float) -> Tuple[float, float]:
     """(x - delta, x + delta), clamped to [lo, hi], where float h is below
     -bound at its lower end and above bound at its upper end (an end
     clamped to the step is not evaluated); (lo, hi) where either check
     fails."""
     a, b = x - delta, x + delta
-    if ((a <= lo or cond(a) < -bound)
-            and (b >= hi or cond(b) > bound)):
+    if ((a <= lo or f(a) < -bound)
+            and (b >= hi or f(b) > bound)):
         return (a if a > lo else lo), (b if b < hi else hi)
     return lo, hi
 
 
-def _root_window(cond: RadiusCondition, lo: float, hi: float,
-                 c: Tuple[float, ...], err: float) -> Tuple[float, float]:
-    """A window (a, b) in the step [lo, hi] of the polynomial condition cond,
-    of padded coefficients c, outside which the float sign of h is proven:
-    negative on [lo, a], positive on [b, hi]. With E = err the Horner error
-    bound, exact h' is at least dmin > 4E on the step (h'(lo) by Horner,
-    less 4E, which bounds its rounding, and less the step times a bound on
-    |h''|), so exact h increases there and float h' stays positive. Three Newton steps from the
-    midpoint, clamped to the step, give x; a and b lie 4E/dmin either side
-    of it, clamped to lo and hi, and float h(a) < -2E, h(b) > 2E put exact h
-    below -E up to a and above E from b. Where any check fails, (lo, hi)."""
+def _root_window(f: Callable[[float], float], lo: float, hi: float,
+                 h_lo: float, h_hi: float, c: Tuple[float, ...],
+                 err: float) -> Tuple[float, float]:
+    """A window (a, b) in the step [lo, hi] of a polynomial condition, of
+    padded coefficients c, outside which the float sign of h is proven:
+    negative on [lo, a], positive on [b, hi]; f evaluates h, and h_lo, h_hi
+    are h at lo and hi. With E = err the Horner error bound, exact h' is at
+    least dmin > 4E on the step (h'(lo) by Horner, less 4E, which bounds
+    its rounding, and less the step times a bound on |h''|), so exact h
+    increases there and float h' stays positive. Two Newton steps from the
+    secant point of (lo, h_lo) and (hi, h_hi), each clamped to the step,
+    give x; a and b lie 4E/dmin either side of it, clamped to lo and hi,
+    and float h(a) < -2E, h(b) > 2E put exact h below -E up to a and above
+    E from b. Where any check fails, (lo, hi)."""
     c0, c1, c2, c3, c4 = c
     d2, d3, d4 = 2.0 * c2, 3.0 * c3, 4.0 * c4
     dmin = (((d4 * lo + d3) * lo + d2) * lo + c1
@@ -192,11 +204,12 @@ def _root_window(cond: RadiusCondition, lo: float, hi: float,
                * (hi - lo)) * (1.0 + 2.0 ** -40))  # the slack covers rounding
     if not dmin > 4.0 * err:
         return lo, hi
-    x = 0.5 * (lo + hi)
-    for _ in range(3):
-        x -= cond(x) / (((d4 * x + d3) * x + d2) * x + c1)
+    x = lo - h_lo * (hi - lo) / (h_hi - h_lo)  # the secant point
+    x = lo if x < lo else hi if x > hi else x
+    for _ in range(2):
+        x -= f(x) / (((d4 * x + d3) * x + d2) * x + c1)
         x = lo if x < lo else hi if x > hi else x
-    return _window(cond, lo, hi, x, 4.0 * err / dmin, 2.0 * err)
+    return _window(f, lo, hi, x, 4.0 * err / dmin, 2.0 * err)
 
 
 def _rl_rounding_bound(lo: float, hi: float) -> Tuple[float, float]:
@@ -235,13 +248,13 @@ def _rl_rounding_bound(lo: float, hi: float) -> Tuple[float, float]:
     return err * _SLACK, rho * _SLACK
 
 
-def _rl_root_window(cond: RadiusCondition, lo: float, hi: float,
+def _rl_root_window(f: Callable[[float], float], lo: float, hi: float,
                     h_lo: float, h_hi: float) -> Tuple[float, float]:
-    """A window (a, b) in the step [lo, hi] of the RL condition cond outside
-    which the float sign of h is proven: negative on [lo, a], positive on
-    [b, hi]; h_lo < 0 <= h_hi are h at lo and hi. h = D G with D = den > 0
-    and exact G = radius - threshold increasing (the monotone_signs
-    argument). With (E, rho) = _rl_rounding_bound(lo, hi), float
+    """A window (a, b) in the step [lo, hi] of the RL condition, evaluated
+    by f, outside which the float sign of h is proven: negative on [lo, a],
+    positive on [b, hi]; h_lo < 0 <= h_hi are h at lo and hi. h = D G with
+    D = den > 0 and exact G = radius - threshold increasing (the
+    monotone_signs argument). With (E, rho) = _rl_rounding_bound(lo, hi), float
     h(a) < -E (1 + rho) puts exact h(a) below -E rho, so for x <= a exact
     h(x) = D(x) G(x) <= D(x) h(a) / D(a) < -E, as D(a) / D(x) <= rho, and
     float h(x) < 0; float h(b) > E (1 + rho) gives float h > 0 on [b, hi]
@@ -260,8 +273,8 @@ def _rl_root_window(cond: RadiusCondition, lo: float, hi: float,
         x0, f0, x = x, fx, x - fx * (x - x0) / (fx - f0)
         x = lo if x < lo else hi if x > hi else x
         if i < 2:
-            fx = cond(x)
-    return _window(cond, lo, hi, x, 4.0 * bound * (hi - lo) / (h_hi - h_lo),
+            fx = f(x)
+    return _window(f, lo, hi, x, 4.0 * bound * (hi - lo) / (h_hi - h_lo),
                    bound)
 
 
@@ -270,11 +283,13 @@ def smallest_root_in_01(cond: RadiusCondition,
     """Locate the least r in (0, 1) with h(r) = 0: the first point of the
     1e-3 grid where h is not negative (_first_nonnegative), then bisection
     of the step before it to width <= tol. On a quartic and on the RL
-    condition the bisection evaluates h only at midpoints inside a proven
-    root window (a, b) (_root_window, _rl_root_window), and takes the sign
-    proven there everywhere else, so its brackets are those of evaluating
-    every midpoint. A NaN value of h is neither negative nor a sign
-    change: it raises NoRootError.
+    condition that _rl_evaluator builds, the bisection evaluates h only at
+    midpoints inside a proven root window (a, b) (_root_window,
+    _rl_root_window), and takes the sign proven there everywhere else, so
+    its brackets are those of evaluating every midpoint. A NaN value of h
+    is neither negative nor a sign change: it raises NoRootError. Every
+    evaluation goes through cond's __call__, bound once here, so a count
+    patched onto RadiusCondition.__call__ sees each one.
 
     The bracket holds the first float sign change of h, which need not be
     near a root where h touches zero: on the double root of
@@ -282,7 +297,8 @@ def smallest_root_in_01(cond: RadiusCondition,
     already nonnegative. The window is refused there, as h' is not proven
     positive on the step."""
     _check_tol(tol)
-    h0 = cond(0.0)
+    f = cond.__call__
+    h0 = f(0.0)
     if not h0 < 0.0:
         if h0 >= 0.0:
             raise ParameterError(f"condition is nonnegative at r=0 (h(0)={h0!r})")
@@ -292,7 +308,7 @@ def smallest_root_in_01(cond: RadiusCondition,
     if cond.kind is ConditionKind.POLYNOMIAL:
         c = _padded(cond.coeffs)
         err = _horner_error(c)
-    k, h_lo, h_hi = _first_nonnegative(cond, h0, c, err)
+    k, h_lo, h_hi = _first_nonnegative(f, h0, c, err, cond.monotone_signs)
     if k == _SCAN_END:
         raise _no_root(cond, "no sign change in (0, 1)", h0)
     lo, hi = (k - 1) * _SCAN_STEP, k * _SCAN_STEP
@@ -300,9 +316,9 @@ def smallest_root_in_01(cond: RadiusCondition,
         raise _no_root(cond, f"condition is NaN at r={hi!r}", h0)
 
     if c is not None:
-        a, b = _root_window(cond, lo, hi, c, err)
-    elif cond.monotone_signs:
-        a, b = _rl_root_window(cond, lo, hi, h_lo, h_hi)
+        a, b = _root_window(f, lo, hi, h_lo, h_hi, c, err)
+    elif getattr(cond.evaluator, "rl_bounded", False):
+        a, b = _rl_root_window(f, lo, hi, h_lo, h_hi)
     else:
         a, b = lo, hi
     iterations = 0
@@ -313,7 +329,7 @@ def smallest_root_in_01(cond: RadiusCondition,
         elif mid >= b:
             hi = mid
         else:
-            hm = cond(mid)
+            hm = f(mid)
             if hm < 0.0:
                 lo = mid
             elif hm >= 0.0:
@@ -322,9 +338,8 @@ def smallest_root_in_01(cond: RadiusCondition,
                 raise _no_root(cond, f"condition is NaN at r={mid!r}", h0)
         iterations += 1
     rho = 0.5 * (lo + hi)
-    return RadiusResult(rho=rho, residual=abs(cond(rho)), bracket=(lo, hi),
-                       variant=cond.variant, iterations=iterations,
-                       extrapolation=cond.extrapolation)
+    return RadiusResult(rho, abs(f(rho)), (lo, hi), cond.variant, iterations,
+                        cond.extrapolation)
 
 
 def compute_radius(spec: ClassSpec, t: TargetSpec,
@@ -369,20 +384,20 @@ def radius_table(class_id: ClassId, specs: Iterable[ClassSpec],
     _check_tol(tol)
     specs = sorted(specs, key=lambda s: s.b)
     cells: List[TableCell] = []
-    variants = [_reading(class_id, regions.FAMILIES[t.family], policy)
-                for t in targets]
     for spec in specs:
         if spec.class_id is not class_id:
             raise ParameterError("spec/class mismatch in radius_table")
-        for t, variant in zip(targets, variants):
+        for t in targets:
             try:
                 res = compute_radius(spec, t, policy, tol, extended)
-                cells.append(TableCell(spec, t, variant, res, None))
+                # res.variant is the reading assemble_condition solved
+                cells.append(TableCell(spec, t, res.variant, res, None))
             except (NoRootError, ParameterError) as exc:
                 kind = ("no-root" if isinstance(exc, NoRootError)
                         else "unsupported"
                         if isinstance(exc, UnsupportedCombinationError)
                         else "parameter")
+                variant = _reading(class_id, regions.FAMILIES[t.family], policy)
                 cells.append(TableCell(spec, t, variant, None, f"ERROR:{kind}",
                                        str(exc)))
     return cells

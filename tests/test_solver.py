@@ -259,7 +259,8 @@ def _certified(coeffs, x):
 
 def _quartic_window(cond, lo, hi):
     c = solver._padded(cond.coeffs)
-    return solver._root_window(cond, lo, hi, c, solver._horner_error(c))
+    return solver._root_window(cond, lo, hi, cond(lo), cond(hi), c,
+                               solver._horner_error(c))
 
 
 def test_library_quartics_certified_at_scan_step():
@@ -355,9 +356,11 @@ def test_root_window_refused():
 
 
 def test_quartic_cell_h_evaluations(monkeypatch):
-    # one evaluation at 0, about ten in the grid search, five to place the
-    # window, the few midpoints inside it and the residual: at most 20 per
-    # library quartic cell, where every bisection midpoint took one (42)
+    # one evaluation at 0, about ten in the grid search, four to place the
+    # window, the few midpoints inside it and the residual: at most 18 per
+    # library quartic cell, where every bisection midpoint took one (42).
+    # At least 12 go through RadiusCondition.__call__, which the count
+    # patches: a solver that evaluated h around it would not be counted
     calls = []
     call = RadiusCondition.__call__
 
@@ -374,7 +377,7 @@ def test_quartic_cell_h_evaluations(monkeypatch):
             calls.clear()
             res = smallest_root_in_01(cond)
             assert res.iterations == 30, (class_id, t.label())
-            assert len(calls) <= 20, (class_id, t.label(), len(calls))
+            assert 12 <= len(calls) <= 18, (class_id, t.label(), len(calls))
 
 
 def test_rl_evaluator_matches_disk_and_threshold():
@@ -467,10 +470,29 @@ def test_rl_root_window_refused():
     assert solver._rl_rounding_bound(0.413, 0.414)[0] < math.inf
 
 
+def test_rl_root_window_only_for_the_rl_evaluator():
+    # monotone_signs vouches for the grid search only: on h = r - 0.3 with
+    # a stretch of +1 on [0.2999995, 0.2999999), the grid signs change once,
+    # but the RL window, proven for the RL evaluator alone, would skip the
+    # stretch; the bisection evaluates every midpoint and finds its start
+    def h(r):
+        return 1.0 if 0.2999995 <= r < 0.2999999 else r - 0.3
+
+    cond = RadiusCondition(ConditionKind.COMPOSITE, Variant.CENTER_CORRECTED,
+                           evaluator=h, monotone_signs=True)
+    res = smallest_root_in_01(cond)
+    assert res.bracket == (0.299999499999918, 0.2999995000008493)
+    assert _outcome(smallest_root_in_01, cond) == _outcome(scan_smallest_root, cond)
+    rl = assemble_condition(make_class(ClassId.G1, -1.0),
+                            default_target(Family.RATIONAL_RL))
+    assert rl.evaluator.rl_bounded and not hasattr(h, "rl_bounded")
+
+
 def test_rl_cell_h_evaluations(monkeypatch):
     # one evaluation at 0, about ten in the grid search, four to place and
     # check the window, the few midpoints inside it and the residual: at
-    # most 20 per library RL cell, where every midpoint took one (42)
+    # most 20 per library RL cell, where every midpoint took one (42), and
+    # at least 12 counted through RadiusCondition.__call__
     calls = []
     call = RadiusCondition.__call__
 
@@ -484,7 +506,7 @@ def test_rl_cell_h_evaluations(monkeypatch):
         calls.clear()
         res = smallest_root_in_01(cond)
         assert res.iterations <= 30, cell
-        assert len(calls) <= 20, (cell, len(calls))
+        assert 12 <= len(calls) <= 20, (cell, len(calls))
         n += 1
     assert n == 41 * 3
 

@@ -7,10 +7,10 @@ from types import MappingProxyType
 import pytest
 
 from radstar.core import (ClassDef, ClassId, ClassSpec, ConditionKind, DiskSpec,
-                          Family, RadiusCondition, RadiusResult, TargetSpec,
-                          Variant, make_class)
+                          Family, ParameterError, RadiusCondition, RadiusResult,
+                          TargetSpec, Variant, default_target, make_class)
 from radstar.regions import FamilyDef
-from radstar.solver import TableCell
+from radstar.solver import TableCell, assemble_condition, smallest_root_in_01
 from radstar.verify import (AdjudicationReport, ScanReport, SharpnessReport,
                             VerificationReport, verify_cell)
 
@@ -103,6 +103,32 @@ def test_condition_compares_and_prints_its_fields_only():
     kind, variant, coeffs, evaluator, extrapolation, monotone = c
     assert (coeffs, evaluator, extrapolation, monotone) == (None, _evaluator,
                                                             False, True)
+
+
+@pytest.mark.parametrize("cls, args, kwargs", CASES, ids=_IDS)
+def test_make_and_replace_keep_the_type(cls, args, kwargs):
+    x = cls(*args, **kwargs)
+    for y in (cls._make(x), x._replace()):
+        assert type(y) is cls and y == x
+
+
+def test_replace_builds_through_new():
+    # _replace and _make run the subclass's __new__: a replaced condition
+    # binds its h again, and a replaced target checks its order parameters
+    for family in (Family.CARDIOID, Family.RATIONAL_RL):
+        cond = assemble_condition(make_class(ClassId.G1, -0.7),
+                                  default_target(family))
+        moved = cond._replace(extrapolation=True)
+        assert moved.extrapolation and moved(0.2) == cond(0.2)
+        assert RadiusCondition._make(cond)(0.2) == cond(0.2)
+        assert (smallest_root_in_01(moved)
+                == smallest_root_in_01(cond)._replace(extrapolation=True))
+    t = TargetSpec(Family.STARLIKE_ORDER, alpha=0.2)
+    assert t._replace(alpha=0.5) == TargetSpec(Family.STARLIKE_ORDER, alpha=0.5)
+    with pytest.raises(ParameterError):
+        t._replace(alpha=5.0)
+    with pytest.raises(ParameterError):
+        TargetSpec._make((Family.CARDIOID, 0.2, None))
 
 
 def test_family_defaults_are_read_only():
