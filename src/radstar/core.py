@@ -177,33 +177,32 @@ class DiskSpec(NamedTuple):
 class _ConditionFields(NamedTuple):
     kind: ConditionKind
     variant: Variant
-    coeffs: Optional[Tuple[float, ...]]  # ascending by degree
+    coeffs: Optional[Tuple[float, ...]]  # ascending by degree, five
     evaluator: Optional[Callable[[float], float]]
     extrapolation: bool
-    monotone_signs: bool
 
 
 class RadiusCondition(_ConditionFields):
     """Scalar condition h on [0, 1); containment holds while h(r) <= 0.
 
     h takes a float r; a polynomial condition is evaluated by Horner's rule,
-    unrolled once here. monotone_signs states that the float signs of h on
-    the solver's scan grid change once, from negative to nonnegative, as an
-    analytic argument proves for the conditions assemble_condition sets it on:
-    the RL conditions, h = den * G with den > 0 and exact G increasing. It
-    vouches for the grid search only; the solver's RL root window rests on
-    the rounding bound of the evaluator that assembly builds, and is placed
-    for that evaluator alone.
+    unrolled once here. Coefficients are padded with leading zeros to five
+    when the condition is built, and more than five are refused.
     h, the Horner closure or the evaluator, is an instance attribute beside
-    the six fields (the class has no __slots__), so ==, hash and repr read
+    the five fields (the class has no __slots__), so ==, hash and repr read
     the fields alone."""
 
     def __new__(cls, kind: ConditionKind, variant: Variant,
                 coeffs: Optional[Tuple[float, ...]] = None,
                 evaluator: Optional[Callable[[float], float]] = None,
-                extrapolation: bool = False, monotone_signs: bool = False):
+                extrapolation: bool = False):
+        if coeffs is not None and len(coeffs) != 5:
+            n = len(coeffs)
+            if n > 5:
+                raise ParameterError(f"{n} coefficients; at most 5 (degree 4)")
+            coeffs = tuple(coeffs) + (0.0,) * (5 - n)
         self = tuple.__new__(cls, (kind, variant, coeffs, evaluator,
-                                   extrapolation, monotone_signs))
+                                   extrapolation))
         self._h = (_horner(coeffs) if kind is ConditionKind.POLYNOMIAL
                    else evaluator)
         return self
@@ -215,15 +214,10 @@ class RadiusCondition(_ConditionFields):
 
 
 def _horner(coeffs: Tuple[float, ...]) -> Callable[[float], float]:
-    """acc = acc * r + c over the coefficients from the highest degree down,
-    starting at acc = 0.0, unrolled for degree at most 4. The first step's
-    0.0 * r is +0.0 for every r in [+0.0, 1), so it is folded into
-    0.0 + c4; the leading zeros that pad a shorter tuple keep acc at +0.0."""
-    n = len(coeffs)
-    if n != 5:
-        if n > 5:
-            raise ParameterError(f"{n} coefficients; at most 5 (degree 4)")
-        coeffs = tuple(coeffs) + (0.0,) * (5 - n)
+    """acc = acc * r + c over the five coefficients from the highest degree
+    down, starting at acc = 0.0, unrolled. The first step's 0.0 * r is +0.0
+    for every r in [+0.0, 1), so it is folded into 0.0 + c4; the leading
+    zeros that pad a shorter tuple keep acc at +0.0."""
     c0, c1, c2, c3, c4 = coeffs
     a4 = 0.0 + c4
 

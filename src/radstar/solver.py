@@ -18,6 +18,7 @@ _SCAN_STEP, _SCAN_END = 1e-3, 1000  # the grid: k * _SCAN_STEP, 0 < k < _SCAN_EN
 _HORNER_ERR = 2.0 ** -47
 _U = 2.0 ** -53  # the unit roundoff of a double
 _SLACK = 1.0 + 2.0 ** -40  # raises a bound computed in floats over its rounding
+_INF = float("inf")
 DEFAULT_TOL = 1e-12
 
 
@@ -31,9 +32,14 @@ def _stated(class_id: ClassId, t: TargetSpec, fd: regions.FamilyDef) -> bool:
 
 def _rl_evaluator(spec: ClassSpec, t: TargetSpec, printed_center: bool):
     """h = radius * den - threshold(c) * den on [0, 1), c the disk center or,
-    for the printed reading, 1/(1 - r^2); the disk map is bound once. The
-    closure is marked rl_bounded: _rl_rounding_bound covers its rounding,
-    so the solver places _rl_root_window on it and on no other evaluator."""
+    for the printed reading, 1/(1 - r^2); the disk map is bound once.
+    h = den * G with den > 0 and exact G = radius - threshold strictly
+    increasing on [0, 1): the disk radius grows with r, the threshold falls
+    as the center grows from 1 to sqrt2, and from sqrt2 on it is 0. So h
+    changes sign once, and its float signs on the grid too. The closure is
+    marked rl_bounded: the solver takes its grid signs as changing once, and
+    _rl_rounding_bound, which covers its rounding, as its step's bound, on
+    this evaluator and on no other."""
     disk_at = bounds.disk_map(spec)
 
     def h(r):
@@ -78,15 +84,9 @@ def assemble_condition(spec: ClassSpec, t: TargetSpec,
     affine = fd.threshold
     if affine is None:  # RL: the threshold is not affine in the center
         printed_center = variant is not Variant.CENTER_CORRECTED
-        # h = den * G with den > 0 and exact G = radius - threshold
-        # strictly increasing on [0, 1): the disk radius grows with r, the
-        # threshold falls as the center grows from 1 to sqrt2, and from
-        # sqrt2 on it is 0. So h changes sign once, its float signs on the
-        # grid too, and _rl_root_window proves the float sign of h outside
-        # a window around the root from G's growth
         return RadiusCondition(ConditionKind.COMPOSITE, variant,
                                evaluator=_rl_evaluator(spec, t, printed_center),
-                               extrapolation=extrapolation, monotone_signs=True)
+                               extrapolation=extrapolation)
 
     m = spec.coeff_mag
     if variant is Variant.PRINTED:  # first alternate reading of g1 nephroid
@@ -109,22 +109,17 @@ def _check_tol(tol: float) -> None:
         raise ParameterError(f"tol={tol!r} outside [1e-15, 1e-6]")
 
 
-def _padded(coeffs: Tuple[float, ...]) -> Tuple[float, ...]:
-    n = len(coeffs)
-    return coeffs if n == 5 else tuple(coeffs) + (0.0,) * (5 - n)
-
-
 def _horner_error(c: Tuple[float, ...]) -> float:
     """Bound on the rounding error of Horner's rule, and of the Bernstein
-    coefficients, on the quartic of padded coefficients c anywhere on [0, 1];
+    coefficients, on the quartic of coefficients c anywhere on [0, 1];
     inf where a coefficient is NaN or infinite, or so large that a partial
     sum could overflow, so that no check passes."""
     s = abs(c[0]) + abs(c[1]) + abs(c[2]) + abs(c[3]) + abs(c[4])
-    return _HORNER_ERR * s + 2.0 ** -1070 if s < 2.0 ** 1000 else float("inf")
+    return _HORNER_ERR * s + 2.0 ** -1070 if s < 2.0 ** 1000 else _INF
 
 
 def _certified_negative(c: Tuple[float, ...], err: float, x: float) -> bool:
-    """True where Horner's rule on the quartic of padded coefficients c is
+    """True where Horner's rule on the quartic of coefficients c is
     negative in floats on all of [0, x], x <= 1: its Bernstein coefficients
     on [0, x] bound it above and lie below minus the rounding error bound
     err = _horner_error(c). A NaN or infinite coefficient is never
@@ -141,16 +136,15 @@ def _certified_negative(c: Tuple[float, ...], err: float, x: float) -> bool:
 
 def _first_nonnegative(
         f: Callable[[float], float], h0: float, c: Optional[Tuple[float, ...]],
-        err: Optional[float],
-        monotone_signs: bool) -> Tuple[int, float, Optional[float]]:
+        err: Optional[float], rl: bool) -> Tuple[int, float, Optional[float]]:
     """The first k in 1 .. 999 with h(k * _SCAN_STEP) not negative, with h
     at the grid point before it (h0 = h(0) where k = 1) and at k, or
     (_SCAN_END, h(0.999), None); f evaluates h. A binary search ends at
     adjacent lo, hi with h negative at lo (or lo = 0) and not at hi: hi is
     the point-by-point walk's answer where h is proven negative at every
-    grid point up to lo, by the condition's monotone_signs or, for a
-    quartic of padded coefficients c and Horner error bound err,
-    _certified_negative."""
+    grid point up to lo: on the RL evaluator (rl), whose grid signs change
+    once, and on a quartic of coefficients c and Horner error bound err by
+    _certified_negative. Elsewhere the grid is walked."""
     lo, hi, h_lo, h_hi = 0, _SCAN_END, h0, None
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -159,7 +153,7 @@ def _first_nonnegative(
             lo, h_lo = mid, h
         else:
             hi, h_hi = mid, h
-    if not (monotone_signs or (
+    if not (rl or (
             c is not None and _certified_negative(c, err, lo * _SCAN_STEP))):
         h_lo = h0
         for k in range(1, hi):  # the walk
@@ -170,46 +164,18 @@ def _first_nonnegative(
     return hi, h_lo, h_hi
 
 
-def _window(f: Callable[[float], float], lo: float, hi: float, x: float,
-            delta: float, bound: float) -> Tuple[float, float]:
-    """(x - delta, x + delta), clamped to [lo, hi], where float h is below
-    -bound at its lower end and above bound at its upper end (an end
-    clamped to the step is not evaluated); (lo, hi) where either check
-    fails."""
-    a, b = x - delta, x + delta
-    if ((a <= lo or f(a) < -bound)
-            and (b >= hi or f(b) > bound)):
-        return (a if a > lo else lo), (b if b < hi else hi)
-    return lo, hi
-
-
-def _root_window(f: Callable[[float], float], lo: float, hi: float,
-                 h_lo: float, h_hi: float, c: Tuple[float, ...],
-                 err: float) -> Tuple[float, float]:
-    """A window (a, b) in the step [lo, hi] of a polynomial condition, of
-    padded coefficients c, outside which the float sign of h is proven:
-    negative on [lo, a], positive on [b, hi]; f evaluates h, and h_lo, h_hi
-    are h at lo and hi. With E = err the Horner error bound, exact h' is at
-    least dmin > 4E on the step (h'(lo) by Horner, less 4E, which bounds
-    its rounding, and less the step times a bound on |h''|), so exact h
-    increases there and float h' stays positive. Two Newton steps from the
-    secant point of (lo, h_lo) and (hi, h_hi), each clamped to the step,
-    give x; a and b lie 4E/dmin either side of it, clamped to lo and hi,
-    and float h(a) < -2E, h(b) > 2E put exact h below -E up to a and above
-    E from b. Where any check fails, (lo, hi)."""
-    c0, c1, c2, c3, c4 = c
-    d2, d3, d4 = 2.0 * c2, 3.0 * c3, 4.0 * c4
-    dmin = (((d4 * lo + d3) * lo + d2) * lo + c1
+def _quartic_rounding_bound(c: Tuple[float, ...], err: float, lo: float,
+                            hi: float) -> Tuple[float, float]:
+    """(E, rho) on the step [lo, hi] of a quartic of coefficients c and
+    Horner error bound err: (err, 1), h being its own D = 1 and G, where
+    exact h' is proven positive on the step, and (inf, inf) elsewhere. The
+    proof is dmin > 0: dmin is h'(lo) by Horner, less 4 err, which bounds
+    its rounding, and less the step times a bound on |h''|."""
+    _, c1, c2, c3, c4 = c
+    dmin = (((4.0 * c4 * lo + 3.0 * c3) * lo + 2.0 * c2) * lo + c1
             - (4.0 * err + (2.0 * abs(c2) + 6.0 * abs(c3) + 12.0 * abs(c4))
-               * (hi - lo)) * (1.0 + 2.0 ** -40))  # the slack covers rounding
-    if not dmin > 4.0 * err:
-        return lo, hi
-    x = lo - h_lo * (hi - lo) / (h_hi - h_lo)  # the secant point
-    x = lo if x < lo else hi if x > hi else x
-    for _ in range(2):
-        x -= f(x) / (((d4 * x + d3) * x + d2) * x + c1)
-        x = lo if x < lo else hi if x > hi else x
-    return _window(f, lo, hi, x, 4.0 * err / dmin, 2.0 * err)
+               * (hi - lo)) * _SLACK)
+    return (err, 1.0) if dmin > 0.0 else (_INF, _INF)
 
 
 def _rl_rounding_bound(lo: float, hi: float) -> Tuple[float, float]:
@@ -248,23 +214,27 @@ def _rl_rounding_bound(lo: float, hi: float) -> Tuple[float, float]:
     return err * _SLACK, rho * _SLACK
 
 
-def _rl_root_window(f: Callable[[float], float], lo: float, hi: float,
-                    h_lo: float, h_hi: float) -> Tuple[float, float]:
-    """A window (a, b) in the step [lo, hi] of the RL condition, evaluated
-    by f, outside which the float sign of h is proven: negative on [lo, a],
-    positive on [b, hi]; h_lo < 0 <= h_hi are h at lo and hi. h = D G with
-    D = den > 0 and exact G = radius - threshold increasing (the
-    monotone_signs argument). With (E, rho) = _rl_rounding_bound(lo, hi), float
-    h(a) < -E (1 + rho) puts exact h(a) below -E rho, so for x <= a exact
-    h(x) = D(x) G(x) <= D(x) h(a) / D(a) < -E, as D(a) / D(x) <= rho, and
-    float h(x) < 0; float h(b) > E (1 + rho) gives float h > 0 on [b, hi]
-    alike. Three secant steps from (lo, h_lo) and (hi, h_hi), the last
-    not evaluated, place x; a and b lie 4E (1 + rho) / s either side of
-    it, s the slope of the secant over the step, clamped to lo and hi.
-    Where any check fails, (lo, hi)."""
-    err, rho = _rl_rounding_bound(lo, hi)
+def _root_window(f: Callable[[float], float], lo: float, hi: float,
+                 h_lo: float, h_hi: float, err: float,
+                 rho: float) -> Tuple[float, float]:
+    """A window (a, b) in the step [lo, hi] outside which the float sign of
+    h is proven: negative on [lo, a], positive on [b, hi]; f evaluates h,
+    h_lo and h_hi are h at lo and hi, and (err, rho) = (E, rho) is the
+    step's rounding bound (_quartic_rounding_bound, _rl_rounding_bound).
+
+    The bound states that on the step exact h = D G with D > 0, G
+    increasing and D_max / D_min <= rho, and that |fl(h) - h| <= E. Then
+    float h(a) < -E (1 + rho) puts exact h(a) below -E rho, so for x <= a
+    exact h(x) = D(x) G(x) <= D(x) h(a) / D(a) < -E, as D(a) / D(x) <= rho,
+    and float h(x) < 0; float h(b) > E (1 + rho) gives float h > 0 on
+    [b, hi] alike. Three secant steps from (lo, h_lo) and (hi, h_hi), each
+    clamped to the step and the last not evaluated, place x; a and b lie
+    2 E (1 + rho) / s either side of it, s the slope of the secant over the
+    step, and an end clamped to the step is not evaluated. Where
+    h_lo < 0 <= h_hi fails, the bound is infinite or a check at a or b
+    fails, (lo, hi)."""
     bound = err * (1.0 + rho)
-    if not (h_lo < 0.0 <= h_hi and bound < float("inf")):
+    if not (h_lo < 0.0 <= h_hi and bound < _INF):
         return lo, hi
     x0, f0, x, fx = lo, h_lo, hi, h_hi
     for i in range(3):
@@ -274,8 +244,11 @@ def _rl_root_window(f: Callable[[float], float], lo: float, hi: float,
         x = lo if x < lo else hi if x > hi else x
         if i < 2:
             fx = f(x)
-    return _window(f, lo, hi, x, 4.0 * bound * (hi - lo) / (h_hi - h_lo),
-                   bound)
+    delta = 2.0 * bound * (hi - lo) / (h_hi - h_lo)
+    a, b = x - delta, x + delta
+    if (a <= lo or f(a) < -bound) and (b >= hi or f(b) > bound):
+        return (a if a > lo else lo), (b if b < hi else hi)
+    return lo, hi
 
 
 def smallest_root_in_01(cond: RadiusCondition,
@@ -284,12 +257,13 @@ def smallest_root_in_01(cond: RadiusCondition,
     1e-3 grid where h is not negative (_first_nonnegative), then bisection
     of the step before it to width <= tol. On a quartic and on the RL
     condition that _rl_evaluator builds, the bisection evaluates h only at
-    midpoints inside a proven root window (a, b) (_root_window,
-    _rl_root_window), and takes the sign proven there everywhere else, so
-    its brackets are those of evaluating every midpoint. A NaN value of h
-    is neither negative nor a sign change: it raises NoRootError. Every
-    evaluation goes through cond's __call__, bound once here, so a count
-    patched onto RadiusCondition.__call__ sees each one.
+    midpoints inside a root window (a, b) that _root_window proves from the
+    step's rounding bound (_quartic_rounding_bound, _rl_rounding_bound),
+    and takes the sign proven there everywhere else, so its brackets are
+    those of evaluating every midpoint; no other condition gets a window.
+    A NaN value of h is neither negative nor a sign change: it raises
+    NoRootError. Every evaluation goes through cond's __call__, bound once
+    here, so a count patched onto RadiusCondition.__call__ sees each one.
 
     The bracket holds the first float sign change of h, which need not be
     near a root where h touches zero: on the double root of
@@ -306,9 +280,10 @@ def smallest_root_in_01(cond: RadiusCondition,
 
     c = err = None
     if cond.kind is ConditionKind.POLYNOMIAL:
-        c = _padded(cond.coeffs)
+        c = cond.coeffs
         err = _horner_error(c)
-    k, h_lo, h_hi = _first_nonnegative(f, h0, c, err, cond.monotone_signs)
+    rl = getattr(cond.evaluator, "rl_bounded", False)
+    k, h_lo, h_hi = _first_nonnegative(f, h0, c, err, rl)
     if k == _SCAN_END:
         raise _no_root(cond, "no sign change in (0, 1)", h0)
     lo, hi = (k - 1) * _SCAN_STEP, k * _SCAN_STEP
@@ -316,11 +291,12 @@ def smallest_root_in_01(cond: RadiusCondition,
         raise _no_root(cond, f"condition is NaN at r={hi!r}", h0)
 
     if c is not None:
-        a, b = _root_window(f, lo, hi, h_lo, h_hi, c, err)
-    elif getattr(cond.evaluator, "rl_bounded", False):
-        a, b = _rl_root_window(f, lo, hi, h_lo, h_hi)
+        err, rho = _quartic_rounding_bound(c, err, lo, hi)
+    elif rl:
+        err, rho = _rl_rounding_bound(lo, hi)
     else:
-        a, b = lo, hi
+        err = rho = _INF
+    a, b = _root_window(f, lo, hi, h_lo, h_hi, err, rho)
     iterations = 0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)

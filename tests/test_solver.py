@@ -253,14 +253,19 @@ def _library_conditions(families):
 
 
 def _certified(coeffs, x):
-    c = solver._padded(coeffs)
+    c = _poly_condition(coeffs).coeffs
     return solver._certified_negative(c, solver._horner_error(c), x)
 
 
 def _quartic_window(cond, lo, hi):
-    c = solver._padded(cond.coeffs)
-    return solver._root_window(cond, lo, hi, cond(lo), cond(hi), c,
-                               solver._horner_error(c))
+    c = cond.coeffs
+    bound = solver._quartic_rounding_bound(c, solver._horner_error(c), lo, hi)
+    return solver._root_window(cond, lo, hi, cond(lo), cond(hi), *bound)
+
+
+def _rl_window(cond, lo, hi, h_lo, h_hi):
+    return solver._root_window(cond, lo, hi, h_lo, h_hi,
+                               *solver._rl_rounding_bound(lo, hi))
 
 
 def test_library_quartics_certified_at_scan_step():
@@ -279,12 +284,12 @@ def test_library_quartics_certified_at_scan_step():
 
 
 def test_rl_signs_monotone_on_grid():
-    # the flag that lets the binary search stand in for the walk on the RL
-    # condition: on the grid, h is negative and then nonnegative, changing
-    # once, for both classes and both centers
+    # what lets the binary search stand in for the walk on the RL evaluator:
+    # on the grid, h is negative and then nonnegative, changing once, for
+    # both classes and both centers
     n = 0
     for cell, cond in _library_conditions({Family.RATIONAL_RL}):
-        assert cond.monotone_signs, cell
+        assert cond.evaluator.rl_bounded, cell
         negative = [cond(k * SCAN_STEP) < 0.0 for k in range(1, 1000)]
         assert negative == sorted(negative, reverse=True), cell
         assert negative[0] and not negative[-1], cell
@@ -324,7 +329,7 @@ def test_library_quartics_root_window_proven():
         k = first_stop(cond)
         lo, hi = (k - 1) * SCAN_STEP, k * SCAN_STEP
         a, b = _quartic_window(cond, lo, hi)
-        err = Fraction(solver._horner_error(solver._padded(cond.coeffs)))
+        err = Fraction(solver._horner_error(cond.coeffs))
         assert lo <= a < b <= hi and b - a < hi - lo, cell
         assert a == lo or _exact(cond.coeffs, a) < -err, cell
         assert b == hi or _exact(cond.coeffs, b) > err, cell
@@ -346,8 +351,8 @@ def test_root_window_refused():
     assert first_stop(cond) == 300
     assert _quartic_window(cond, 0.299, 0.3) == (0.299, 0.3)
     # 1e6 t^3 - 0.0675 t + c, t = r - 0.3002, has h' > 0 at 0.3 but a local
-    # maximum and minimum inside the step: Newton finds the root 0.30052, yet
-    # h is not proven increasing on [0.3, 0.301]
+    # maximum and minimum inside the step, so h is not proven increasing on
+    # [0.3, 0.301]
     t = np.poly1d([1.0, -0.3002])
     cubic = 1e6 * t ** 3 - 0.0675 * t - (1e6 * 3.2e-4 ** 3 - 0.0675 * 3.2e-4)
     cond = _poly_condition(cubic.coeffs[::-1])
@@ -435,7 +440,7 @@ def test_library_rl_root_window_proven():
             printed = policy is not Variant.CENTER_CORRECTED
             k = first_stop(cond)
             lo, hi = (k - 1) * SCAN_STEP, k * SCAN_STEP
-            a, b = solver._rl_root_window(cond, lo, hi, cond(lo), cond(hi))
+            a, b = _rl_window(cond, lo, hi, cond(lo), cond(hi))
             err = solver._rl_rounding_bound(lo, hi)[0]
             assert lo <= a < b <= hi and b - a < hi - lo, (class_id, mag, policy)
             xs = np.linspace(lo, hi, 17).tolist() + [a, b, 0.5 * (a + b)]
@@ -457,29 +462,29 @@ def test_rl_root_window_refused():
                               default_target(Family.RATIONAL_RL))
     k = first_stop(cond)
     lo, hi = (k - 1) * SCAN_STEP, k * SCAN_STEP
-    assert solver._rl_root_window(cond, lo, hi, cond(lo), cond(hi)) != (lo, hi)
+    assert _rl_window(cond, lo, hi, cond(lo), cond(hi)) != (lo, hi)
     for h_lo, h_hi in ((math.nan, cond(hi)), (cond(lo), math.nan),
                        (math.nan, math.nan), (cond(hi), cond(lo))):
-        assert solver._rl_root_window(cond, lo, hi, h_lo, h_hi) == (lo, hi)
+        assert _rl_window(cond, lo, hi, h_lo, h_hi) == (lo, hi)
     nan_inside = _nan_between(lo + 1e-9, hi - 1e-9)
-    assert solver._rl_root_window(nan_inside, lo, hi, -1.0, 1.0) == (lo, hi)
+    assert _rl_window(nan_inside, lo, hi, -1.0, 1.0) == (lo, hi)
     # (1 + r^2)/(1 - r^2) reaches sqrt2 at r = sqrt2 - 1 = 0.41421...
     for lo, hi in ((0.414, 0.415), (0.5, 0.501), (0.998, 0.999)):
         assert solver._rl_rounding_bound(lo, hi)[0] == math.inf
-        assert solver._rl_root_window(cond, lo, hi, -1.0, 1.0) == (lo, hi)
+        assert _rl_window(cond, lo, hi, -1.0, 1.0) == (lo, hi)
     assert solver._rl_rounding_bound(0.413, 0.414)[0] < math.inf
 
 
 def test_rl_root_window_only_for_the_rl_evaluator():
-    # monotone_signs vouches for the grid search only: on h = r - 0.3 with
-    # a stretch of +1 on [0.2999995, 0.2999999), the grid signs change once,
-    # but the RL window, proven for the RL evaluator alone, would skip the
-    # stretch; the bisection evaluates every midpoint and finds its start
+    # on h = r - 0.3 with a stretch of +1 on [0.2999995, 0.2999999), the
+    # grid signs change once, but the RL window, proven for the RL evaluator
+    # alone, would skip the stretch; the bisection evaluates every midpoint
+    # and finds its start
     def h(r):
         return 1.0 if 0.2999995 <= r < 0.2999999 else r - 0.3
 
     cond = RadiusCondition(ConditionKind.COMPOSITE, Variant.CENTER_CORRECTED,
-                           evaluator=h, monotone_signs=True)
+                           evaluator=h)
     res = smallest_root_in_01(cond)
     assert res.bracket == (0.299999499999918, 0.2999995000008493)
     assert _outcome(smallest_root_in_01, cond) == _outcome(scan_smallest_root, cond)
@@ -491,8 +496,8 @@ def test_rl_root_window_only_for_the_rl_evaluator():
 def test_rl_cell_h_evaluations(monkeypatch):
     # one evaluation at 0, about ten in the grid search, four to place and
     # check the window, the few midpoints inside it and the residual: at
-    # most 20 per library RL cell, where every midpoint took one (42), and
-    # at least 12 counted through RadiusCondition.__call__
+    # most 18 per library RL cell, as per quartic cell, where every midpoint
+    # took one (42), and at least 12 counted through RadiusCondition.__call__
     calls = []
     call = RadiusCondition.__call__
 
@@ -506,7 +511,7 @@ def test_rl_cell_h_evaluations(monkeypatch):
         calls.clear()
         res = smallest_root_in_01(cond)
         assert res.iterations <= 30, cell
-        assert 12 <= len(calls) <= 20, (cell, len(calls))
+        assert 12 <= len(calls) <= 18, (cell, len(calls))
         n += 1
     assert n == 41 * 3
 
@@ -536,9 +541,11 @@ _ROOT = st.one_of(_GRID_POINT, st.floats(0.0, 1.0), st.floats(-2.0, 3.0))
 # within the window's half-width of a grid point clamps it to the step
 @example([0.3005], 1.0, None)
 @example([0.2 + 1e-14, 0.7], 1.0, None)
-# three roots in one step: Newton finds the first, the bisection the last,
-# and h' is not proven positive across the step, so the window is refused
+# three roots in one step, where the bisection finds the last: h' is not
+# proven positive across the step, so the window is refused. A window placed
+# without that proof brackets the first root, 0.3001, on the second example
 @example([0.3006, 0.3007, 0.3009], 1.0, None)
+@example([0.3001, 0.3003, 0.3007], 1.0, None)
 def test_root_matches_point_by_point_scan(roots, scale, nan_stretch):
     # quartics (and lower) with roots anywhere, on grid points too, negative
     # at 0 unless 0 is a root, and optionally NaN on [a, a + w): the binary

@@ -98,11 +98,23 @@ def test_condition_compares_and_prints_its_fields_only():
     assert a == b and a(0.25) == b(0.25) == -0.5
     assert "evaluator=None" in repr(a)
     c = RadiusCondition(ConditionKind.COMPOSITE, Variant.CENTER_CORRECTED,
-                        evaluator=_evaluator, monotone_signs=True)
+                        evaluator=_evaluator)
     assert c(0.75) == 0.25
-    kind, variant, coeffs, evaluator, extrapolation, monotone = c
-    assert (coeffs, evaluator, extrapolation, monotone) == (None, _evaluator,
-                                                            False, True)
+    kind, variant, coeffs, evaluator, extrapolation = c
+    assert (coeffs, evaluator, extrapolation) == (None, _evaluator, False)
+
+
+def test_condition_pads_its_coefficients_to_five():
+    # the coefficients are padded once, when the condition is built, and
+    # _replace, which builds through __new__, keeps them
+    a = RadiusCondition(ConditionKind.POLYNOMIAL, Variant.CENTER_CORRECTED,
+                        coeffs=[-1.0, 2.0])
+    assert a.coeffs == (-1.0, 2.0, 0.0, 0.0, 0.0)
+    assert all(type(c) is float for c in a.coeffs)
+    b = a._replace(extrapolation=True)
+    assert b.coeffs == a.coeffs and b(0.25) == a(0.25) == -0.5
+    with pytest.raises(ParameterError, match="at most 5"):
+        a._replace(coeffs=(1.0,) * 6)
 
 
 @pytest.mark.parametrize("cls, args, kwargs", CASES, ids=_IDS)
