@@ -48,20 +48,33 @@ np = _Numpy()
 
 def cardioid_quartic(x, y):
     """Boundary polynomial of the cardioid domain; negative inside
-    (sign calibrated at w = 1)."""
-    return (81.0 * x**4 - 324.0 * x**3 + 162.0 * x**2 * y**2 + 270.0 * x**2
-            - 324.0 * x * y**2 - 84.0 * x + 81.0 * y**4 - 54.0 * y**2 + 9.0)
+    (sign calibrated at w = 1, where it is -48). With s = x^2 + y^2 it is
+    81 s^2 - 324 x s + 270 x^2 - 84 x - 54 y^2 + 9, taken with products
+    only: numpy hands x**3 and x**4 to libm pow, which is slow on a
+    negative base."""
+    x2 = x * x
+    y2 = y * y
+    s = x2 + y2
+    return 81.0 * s * s - 324.0 * x * s + 270.0 * x2 - 84.0 * x - 54.0 * y2 + 9.0
 
 
 def nephroid_sextic(u, v):
-    """Boundary polynomial of the two-cusped kidney-shaped domain; negative inside."""
-    return (u * u - 2.0 * u + v * v + 5.0 / 9.0) ** 3 - 4.0 * v * v / 3.0
+    """Boundary polynomial of the two-cusped kidney-shaped domain; negative
+    inside. It is a^3 - 4 v^2 / 3 with a = u^2 - 2u + v^2 + 5/9, the cube
+    taken as a * a * a: a is negative on much of the domain, and pow is slow
+    on a negative base."""
+    a = u * u - 2.0 * u + v * v + 5.0 / 9.0
+    return a * a * a - 4.0 * v * v / 3.0
 
 
-def _exponential_mask(t, w):
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mask = np.abs(np.log(w)) < 1.0
-    return np.where(w == 0.0, False, mask)
+def _log_disk(u):
+    """|log u| < 1 on the principal branch, tested as
+    log(|u|)^2 + arg(u)^2 < 1 with real ufuncs only; u = 0, where
+    log|u| = -inf, is outside."""
+    with np.errstate(divide="ignore"):
+        m = np.log(np.abs(u))
+    a = np.angle(u)
+    return m * m + a * a < 1.0
 
 
 def _rational_mask(t, w):
@@ -82,11 +95,10 @@ def _rl_mask(t, w):
 
 
 def _sg_mask(t, w):
+    # w = 2 divides by zero; u = inf or nan there, which _log_disk leaves out
     with np.errstate(divide="ignore", invalid="ignore"):
         u = w / (2.0 - w)
-        mask = np.abs(np.log(u)) < 1.0
-    bad = (w == 2.0) | (u == 0.0)
-    return np.where(bad, False, mask)
+    return _log_disk(u)
 
 
 def _rl_generator(z):
@@ -244,7 +256,7 @@ FAMILIES: Dict[Family, FamilyDef] = {
         sharp={ClassId.G1: (ExtremalId.F1, +1, _SHARP_TOL)},
         classes=frozenset({ClassId.G1})),
     Family.EXPONENTIAL: FamilyDef(
-        mask=_exponential_mask,
+        mask=lambda t, w: _log_disk(w),
         generator=lambda z: np.exp(z),
         threshold=lambda t: (-1.0 / E, 1.0),
         contact=lambda t, v: (abs(cmath.log(v)), 1.0),

@@ -15,6 +15,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from radstar import cli
+from radstar.core import CLASSES, ClassId
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).parents[1] / "src"
@@ -391,6 +392,33 @@ def test_dense_table_byte_identical(argv, digest, capsys):
     assert cli.main(argv) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == digest
+
+
+def _at_21_b(class_id, *argv):
+    # the command at 21 evenly spaced b across the class's interval
+    d = CLASSES[class_id]
+    return [[argv[0], "--class", class_id.value, "--b", repr(b), *argv[1:]]
+            for b in cli._b_grid(d.b_lo, float(d.b_hi), 21)]
+
+
+@pytest.mark.parametrize("argvs, digest", [
+    (_at_21_b(ClassId.G1, "verify"),
+     "6bc7300416f4c4b475029fb998b336a5b751769c210c424a8cda4c89fdd266bf"),
+    (_at_21_b(ClassId.G2, "verify"),
+     "37146790ecbd3e583a92616b7effd23161c831973231e526493c10ae7da92855"),
+    (_at_21_b(ClassId.G1, "adjudicate", "--target", "nephroid"),
+     "e17e6dfcfffa9bbd4b87faf1259c53b9133ace9a68fd8b66fa35b8e5dc48dd92"),
+    (_at_21_b(ClassId.G1, "adjudicate", "--target", "rl"),
+     "53ee666820dd6e70b7f5774187c4c9ec1e87aaaa06c308963d604c087d4e0e35"),
+])
+def test_scan_output_byte_identical(argvs, digest, capsys):
+    # every scan verdict, witness and sharpness value of verify and
+    # adjudicate, pinned by the sha256 of the stdout of all 21 commands
+    h = hashlib.sha256()
+    for argv in argvs:
+        assert cli.main(argv) == 0, argv
+        h.update(capsys.readouterr().out.encode())
+    assert h.hexdigest() == digest
 
 
 _ENDS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)

@@ -1,5 +1,7 @@
 import cmath
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -145,6 +147,87 @@ def test_sigmoid_membership():
     assert region_contains(t, hi - 1e-6)
     assert not region_contains(t, lo - 1e-9)
     assert not region_contains(t, 2.0)
+
+
+# The cardioid, nephroid, exponential and sigmoid masks, each against its
+# exact value: the polynomials in Fraction on the exact values of the float
+# inputs, |log w| - 1 and |log(w / (2 - w))| - 1 with mpmath at 50 digits.
+# The exact value is negative inside.
+
+def _exact_cardioid(w):
+    x, y = Fraction(w.real), Fraction(w.imag)
+    return (81 * x**4 - 324 * x**3 + 162 * x**2 * y**2 + 270 * x**2
+            - 324 * x * y**2 - 84 * x + 81 * y**4 - 54 * y**2 + 9)
+
+
+def _exact_nephroid(w):
+    u, v = Fraction(w.real), Fraction(w.imag)
+    return (u * u - 2 * u + v * v + Fraction(5, 9)) ** 3 - Fraction(4, 3) * v * v
+
+
+def _exact_log_excess(u):
+    from mpmath import log
+    return math.inf if u == 0 else abs(log(u)) - 1
+
+
+def _exact_exponential(w):
+    from mpmath import mpc
+    return _exact_log_excess(mpc(w.real, w.imag))
+
+
+def _exact_sigmoid(w):
+    from mpmath import mpc
+    w = mpc(w.real, w.imag)
+    return math.inf if w == 2 else _exact_log_excess(w / (2 - w))
+
+
+_EXACT = {Family.CARDIOID: _exact_cardioid, Family.NEPHROID: _exact_nephroid,
+          Family.EXPONENTIAL: _exact_exponential,
+          Family.SIGMOID_SG: _exact_sigmoid}
+
+# w = 0, the sigmoid's pole w = 2, the cardioid's cusp and the nephroid's
+# right end on the real axis
+_ANCHORS = [0.0, 2.0, 1.0 / 3.0, 5.0 / 3.0]
+
+
+@pytest.mark.parametrize("fam", list(_EXACT))
+def test_mask_agrees_with_exact_value(fam):
+    from mpmath import workdps
+    t = default_target(fam)
+    gen = regions.FAMILIES[fam].generator
+    edge = gen(regions._anchored_circle(400))
+    rng = np.random.default_rng(20261019)
+    lo, hi = edge.real.min() - 0.25, edge.real.max() + 0.25
+    h = np.abs(edge.imag).max() + 0.25
+    box = rng.uniform(lo, hi, 1500) + 1j * rng.uniform(-h, h, 1500)
+    z = np.exp(2j * math.pi * rng.uniform(0.0, 1.0, 400))
+    near = np.concatenate([gen((1.0 - 1e-6) * z), gen((1.0 + 1e-6) * z)])
+    ws = np.concatenate([box, near, _ANCHORS])
+    mask = membership_mask(t, ws)
+    checked = [0, 0]
+    with workdps(50):
+        for w, m in zip(ws.tolist(), mask.tolist()):
+            exact = _EXACT[fam](w)
+            if abs(exact) >= 1e-9:
+                assert m == (exact < 0), (fam, w)
+                checked[m] += 1
+    # both sides well covered, and most pushed boundary points decided
+    assert min(checked) > 300 and sum(checked) > len(box) + 0.9 * len(near)
+
+
+@pytest.mark.parametrize("fam, expected", [
+    (Family.EXPONENTIAL, [False, True, True, False, True]),
+    (Family.SIGMOID_SG, [False, False, True, False, False]),
+    (Family.CARDIOID, [False, True, True, False, True]),
+    (Family.NEPHROID, [False, False, True, False, False]),
+])
+def test_mask_anchors_raise_no_warning(fam, expected):
+    # log|0| = -inf and the division at w = 2 stay inside the masks' own
+    # np.errstate, whatever the caller's float policy
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        mask = membership_mask(default_target(fam), [0.0, 2.0, 1.0, *_ANCHORS[2:]])
+    assert mask.tolist() == expected
 
 
 # ---------------------------------------------------------------------------
