@@ -25,6 +25,7 @@ MAX_SAMPLES = 1_000_000
 
 
 _K = SQRT2 + 1.0
+_K2 = _K * _K
 _C_RL = 2.0 * (SQRT2 - 1.0)
 
 
@@ -78,11 +79,43 @@ def _log_disk(u):
 
 
 def _rational_mask(t, w):
-    # preimages of w under the generator solve
-    # z^2 + K w z - K^2 (w - 1) = 0; the smaller one lies in the disk
-    b = _K * w
-    s = np.sqrt(b * b + 4.0 * _K * _K * (w - 1.0))
-    return np.minimum(np.abs(s - b), np.abs(s + b)) < 2.0
+    """The smaller root of z^2 + K w z - K^2 (w - 1) = 0, the preimage of w
+    under the generator, lies in the unit disk, tested with real ufuncs
+    only. The roots are (-K w +/- sigma)/2 with
+    sigma^2 = K^2 (w^2 + 4w - 4), and |sigma -/+ K w|^2, four times their
+    squared moduli, are the roots of X^2 - 2 S X + P with
+    S = K^2 s, s = |w^2 + 4w - 4| + |w|^2, and P = 16 K^4 |w - 1|^2. The
+    smaller is below 4 exactly when S < 4 or P - 8 S + 16 < 0, that is
+    s < 4/K^2 or 16 K^2 |w - 1|^2 + 16/K^2 < 8 s."""
+    x, y = w.real, w.imag
+    y2 = y * y
+    s = np.abs(w * (w + 4.0) - 4.0) + (x * x + y2)
+    u = x - 1.0
+    return (s < 4.0 / _K2) | (16.0 * _K2 * (u * u + y2) + 16.0 / _K2 < 8.0 * s)
+
+
+def _sine_mask(t, w):
+    """|arcsin(w - 1)| < 1 on the principal branch, tested as
+    arcsin(beta)^2 + arccosh(alpha)^2 < 1 with real ufuncs only (Hull,
+    Fairgrieve and Tang, ACM TOMS 23 (1997) 299-335), where
+    alpha = (|w| + |w - 2|)/2 and beta = (|w| - |w - 2|)/2. sin is univalent
+    on the unit disk, whose image meets the real axis only inside (-1, 1),
+    away from the branch cuts of arcsin.
+
+    |beta| <= 1 in exact arithmetic, but on the real axis outside [0, 2] it
+    can round above 1, where arcsin is nan; arcsin(beta)^2 is even, so
+    |beta| is taken and clipped at 1. alpha >= 1 holds in floats with no
+    clip. A faithfully rounded modulus is at least |Re w|, and rounding is
+    monotone, so alpha is at least the rounded (|x| + |x - 2|)/2 with
+    x = Re w. For x < 0 or x > 2 one term is already at least 2. For x in
+    [1, 2], 2 - x is exact and the sum is 2. For x in [0, 1), the rounded
+    2 - x is off by at most 2^-53, so the sum is at least 2 - 2^-53, the
+    midpoint below 2, which rounds to 2 (ties to even)."""
+    p = np.abs(w)
+    q = np.abs(w - 2.0)
+    a = np.arccosh(0.5 * (p + q))
+    b = np.arcsin(np.minimum(0.5 * np.abs(p - q), 1.0))
+    return a * a + b * b < 1.0
 
 
 def _rl_mask(t, w):
@@ -145,10 +178,18 @@ def _unit_circle(n: int) -> np.ndarray:
     return u
 
 
-def circle_points(center: float, radius: float, n: int) -> np.ndarray:
-    """n samples of the circle |w - center| = radius, the first at
+def circle_points(circles, n: int) -> np.ndarray:
+    """n samples of each circle |w - center| = radius of circles, a sequence
+    of (center, radius), one circle after another in one array; each sample
+    is center + radius * u, u from _unit_circle(n), the first at
     center + radius."""
-    return center + radius * _unit_circle(n)
+    u = _unit_circle(n)
+    pts = np.empty(len(circles) * n, dtype=complex)
+    for k, (center, radius) in enumerate(circles):
+        part = pts[k * n:(k + 1) * n]
+        np.multiply(radius, u, out=part)
+        np.add(center, part, out=part)
+    return pts
 
 
 def _halfplane_boundary(alpha: float, n: int) -> np.ndarray:
@@ -269,9 +310,7 @@ FAMILIES: Dict[Family, FamilyDef] = {
         contact=lambda t, v: (abs(v), 1.0 / 3.0),
         sharp={ClassId.G1: (ExtremalId.F1, +1, _SHARP_TOL)}),
     Family.SINE: FamilyDef(
-        # sin is univalent on the unit disk, whose image meets the real axis
-        # only inside (-1, 1), away from the branch cuts of arcsin
-        mask=lambda t, w: np.abs(np.arcsin(w - 1.0)) < 1.0,
+        mask=_sine_mask,
         generator=lambda z: 1.0 + np.sin(z),
         threshold=lambda t: (SIN1 + 1.0, -1.0),
         contact=lambda t, v: (abs(v), 1.0 + SIN1),

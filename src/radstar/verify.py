@@ -101,19 +101,21 @@ def containment_scan(spec: ClassSpec, t: TargetSpec, rho: float,
         raise ParameterError(
             f"n_samples={n_samples} outside [64, {MAX_SAMPLES}]")
 
+    # both circles, just inside and just beyond rho, in one array of
+    # 2 * n_samples points and one mask call
     r1 = 0.99 * rho
-    d1 = bounds.disk(spec, r1)
-    pts1 = regions.circle_points(d1.center, d1.radius, n_samples)
-    mask1 = regions.membership_mask(t, pts1)
-    inside_pass = bool(mask1.all())
-    inside_witness = None if inside_pass else complex(pts1[mask1.argmin()])
-
     r2 = min(1.02 * rho, 0.5 * (1.0 + rho))
+    d1 = bounds.disk(spec, r1)
     d2 = bounds.disk(spec, r2)
-    pts2 = regions.circle_points(d2.center, d2.radius, n_samples)
-    mask2 = regions.membership_mask(t, pts2)
-    outside_pass = bool((~mask2).any())
-    outside_witness = complex(pts2[mask2.argmin()]) if outside_pass else None
+    n = n_samples
+    pts = regions.circle_points(
+        ((d1.center, d1.radius), (d2.center, d2.radius)), n)
+    mask = regions.membership_mask(t, pts)
+    mask1, mask2 = mask[:n], mask[n:]
+    inside_pass = bool(mask1.all())
+    inside_witness = None if inside_pass else complex(pts[mask1.argmin()])
+    outside_pass = not mask2.all()
+    outside_witness = complex(pts[n + mask2.argmin()]) if outside_pass else None
 
     return ScanReport(inside_pass=inside_pass, inside_witness=inside_witness,
                       outside_pass=outside_pass, outside_witness=outside_witness,

@@ -149,9 +149,11 @@ def test_sigmoid_membership():
     assert not region_contains(t, 2.0)
 
 
-# The cardioid, nephroid, exponential and sigmoid masks, each against its
-# exact value: the polynomials in Fraction on the exact values of the float
-# inputs, |log w| - 1 and |log(w / (2 - w))| - 1 with mpmath at 50 digits.
+# The cardioid, nephroid, exponential, sigmoid, sine and rational masks,
+# each against its exact value: the polynomials in Fraction on the exact
+# values of the float inputs; |log w| - 1, |log(w / (2 - w))| - 1,
+# |arcsin(w - 1)| - 1 and min |sigma -/+ K w| - 2, with
+# sigma^2 = K^2 (w^2 + 4w - 4) and K = sqrt2 + 1, with mpmath at 50 digits.
 # The exact value is negative inside.
 
 def _exact_cardioid(w):
@@ -181,9 +183,23 @@ def _exact_sigmoid(w):
     return math.inf if w == 2 else _exact_log_excess(w / (2 - w))
 
 
+def _exact_sine(w):
+    from mpmath import asin, mpc
+    return abs(asin(mpc(w.real, w.imag) - 1)) - 1
+
+
+def _exact_rational(w):
+    from mpmath import mpc, sqrt
+    w = mpc(w.real, w.imag)
+    k = sqrt(2) + 1
+    sigma = sqrt(k * k * (w * w + 4 * w - 4))
+    return min(abs(sigma - k * w), abs(sigma + k * w)) - 2
+
+
 _EXACT = {Family.CARDIOID: _exact_cardioid, Family.NEPHROID: _exact_nephroid,
           Family.EXPONENTIAL: _exact_exponential,
-          Family.SIGMOID_SG: _exact_sigmoid}
+          Family.SIGMOID_SG: _exact_sigmoid, Family.SINE: _exact_sine,
+          Family.RATIONAL_R: _exact_rational}
 
 # w = 0, the sigmoid's pole w = 2, the cardioid's cusp and the nephroid's
 # right end on the real axis
@@ -215,19 +231,49 @@ def test_mask_agrees_with_exact_value(fam):
     assert min(checked) > 300 and sum(checked) > len(box) + 0.9 * len(near)
 
 
+# 0, 2, 1, -0.3 and 2.5 on the real axis, -2.4, where |beta| of the sine
+# mask rounds above 1, and 1e-6 either side of the real-axis ends of the
+# sine domain, 1 -/+ sin 1, and of the left end 2(sqrt2 - 1) of the
+# rational domain
+_ARCSIN_ANCHORS = [0.0, 2.0, 1.0, -0.3, 2.5, -2.4] + [
+    c + d for c in (1.0 + SIN1, 1.0 - SIN1, 2.0 * (SQRT2 - 1.0))
+    for d in (-1e-6, 1e-6)]
+
+
 @pytest.mark.parametrize("fam, expected", [
     (Family.EXPONENTIAL, [False, True, True, False, True]),
     (Family.SIGMOID_SG, [False, False, True, False, False]),
     (Family.CARDIOID, [False, True, True, False, True]),
     (Family.NEPHROID, [False, False, True, False, False]),
+    (Family.SINE, [False, False, True, False, False, False,
+                   True, False, False, True, True, True]),
+    (Family.RATIONAL_R, [False, False, True, False, False, False,
+                         True, True, False, False, False, True]),
 ])
 def test_mask_anchors_raise_no_warning(fam, expected):
-    # log|0| = -inf and the division at w = 2 stay inside the masks' own
-    # np.errstate, whatever the caller's float policy
+    # log|0| = -inf, the division at w = 2, arcsin beyond +-1 and arccosh
+    # below 1 stay out of the masks or inside their own np.errstate, whatever
+    # the caller's float policy
+    ws = _ARCSIN_ANCHORS if fam in (Family.SINE, Family.RATIONAL_R) else \
+        [0.0, 2.0, 1.0, *_ANCHORS[2:]]
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
-        mask = membership_mask(default_target(fam), [0.0, 2.0, 1.0, *_ANCHORS[2:]])
+        mask = membership_mask(default_target(fam), ws)
     assert mask.tolist() == expected
+
+
+def test_sine_mask_near_real_axis():
+    # on and next to the real axis the sine mask raises no float warning:
+    # |beta| rounds above 1 there, and alpha stays at least 1; on the axis
+    # the domain is (1 - sin 1, 1 + sin 1)
+    rng = np.random.default_rng(20)
+    x = rng.uniform(-10.0, 12.0, 60_000)
+    t = default_target(Family.SINE)
+    for y in (0.0, 1e-300, -1e-20, 1e-12, -1e-8):
+        with np.errstate(all="raise"):
+            mask = membership_mask(t, x + 1j * y)
+        far = np.abs(np.abs(x - 1.0) - SIN1) > 1e-6
+        assert np.array_equal(mask[far], (np.abs(x - 1.0) < SIN1)[far]), y
 
 
 # ---------------------------------------------------------------------------

@@ -339,6 +339,35 @@ def test_library_quartics_root_window_proven():
     assert n == 2 * 41 * 15 + 41 * 2
 
 
+# The end c_end of the centers for which each family's containment lemma
+# holds, as containment_threshold's docstring lists it; the half-plane and
+# the sector have none.
+_C_END = {
+    Family.EXPONENTIAL: (math.e + 1.0 / math.e) / 2.0,
+    Family.CARDIOID: 5.0 / 3.0, Family.NEPHROID: 5.0 / 3.0,
+    Family.PARABOLIC: 1.5, Family.SINE: 1.0 + math.sin(1.0),
+    Family.SIGMOID_SG: 2.0 * math.e / (1.0 + math.e),
+    Family.LUNE: math.sqrt(2.0), Family.RATIONAL_R: math.sqrt(2.0),
+    Family.RATIONAL_RL: math.sqrt(2.0), Family.LEMNISCATE: math.sqrt(2.0),
+}
+
+
+def test_library_disk_centers_below_lemma_range():
+    # every library radius rests on its family's containment lemma, which
+    # holds only for disk centers below c_end; the disk at the radius of
+    # every reading of every cell is centered below it
+    n = 0
+    for (class_id, mag, t, policy), cond in _library_conditions(set(Family)):
+        if t.family not in _C_END:
+            continue
+        rho = smallest_root_in_01(cond).rho
+        center = bounds.disk(class_from_coeff_mag(class_id, mag), rho).center
+        assert 1.0 <= center < _C_END[t.family], (class_id, mag, t, policy)
+        n += 1
+    # g1 nephroid has two more readings and g1 rl one more
+    assert n == 2 * 41 * 10 + 41 * 3
+
+
 def test_root_window_refused():
     # where the checks fail the window is the whole step: a NaN or infinite
     # coefficient, and the double root of (r - 0.3)^2 (r - 0.7), whose float

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from radstar import cli, regions, solver, verify
+from radstar import bounds, cli, regions, solver, verify
 from radstar.core import (ClassId, Family, ParameterError, TargetSpec, Variant,
                           default_target, make_class)
 from radstar.verify import (adjudicate_variant, containment_scan,
@@ -55,6 +55,47 @@ def test_just_outside_scan_gated_for_every_family(monkeypatch, capsys):
         assert rep["inside_scan"]["pass"] is True
         assert rep["just_outside_scan"]["pass"] is False
         assert rep["just_outside_scan"]["gated"] is True
+
+
+def _two_pass_scan(spec, t, rho, n):
+    # the scan as two circles, each built bit for bit as center + radius * u
+    # and masked on its own
+    r1, r2 = 0.99 * rho, min(1.02 * rho, 0.5 * (1.0 + rho))
+    passes = []
+    for r in (r1, r2):
+        d = bounds.disk(spec, r)
+        pts = regions.circle_points([(d.center, d.radius)], n)
+        u = regions._unit_circle(n)
+        assert pts.tobytes() == (d.center + d.radius * u).tobytes()
+        mask = regions.membership_mask(t, pts)
+        passes.append((bool(mask.all()), complex(pts[mask.argmin()])))
+    (all_in1, w1), (all_in2, w2) = passes
+    return verify.ScanReport(
+        inside_pass=all_in1, inside_witness=None if all_in1 else w1,
+        outside_pass=not all_in2, outside_witness=None if all_in2 else w2,
+        r_inside=r1, r_outside=r2)
+
+
+@pytest.mark.parametrize("n", [64, 512, 513])
+def test_one_pass_scan_matches_two_passes(n, monkeypatch):
+    # every g1 target at 21 values of b, and with masks that fail every
+    # point, pass every point and fail a scattered third, so both witness
+    # slices are read, at an odd n too
+    cases = [(make_class(ClassId.G1, b), t)
+             for b in np.linspace(-1.0, 0.0, 21).tolist()
+             for t in solver.supported_targets(ClassId.G1)]
+    cases = [(spec, t, solver.compute_radius(spec, t).rho) for spec, t in cases]
+    masks = [regions.membership_mask,
+             lambda t, ws: np.zeros(len(ws), dtype=bool),
+             lambda t, ws: np.ones(len(ws), dtype=bool),
+             lambda t, ws: np.floor(np.asarray(ws).imag * 1e3) % 3 != 0]
+    for mask in masks:
+        monkeypatch.setattr(regions, "membership_mask", mask)
+        for spec, t, rho in cases:
+            one = containment_scan(spec, t, rho, n)
+            assert one == _two_pass_scan(spec, t, rho, n), (spec.b, t.label())
+            for w in (one.inside_witness, one.outside_witness):
+                assert w is None or isinstance(w, complex)
 
 
 def test_rl_threshold_exact_for_generator_image():
