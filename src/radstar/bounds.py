@@ -7,13 +7,15 @@ from typing import Callable, Tuple
 
 from .core import ClassId, ClassSpec, DiskSpec, DomainError
 
+_G1 = ClassId.G1  # read as a module global (see core._POLYNOMIAL)
+
 
 def disk_map(spec: ClassSpec) -> Callable[[float], Tuple[float, float, float]]:
     """The map r -> (center, radius, den) of disk(spec, r) as plain floats,
     bound once for the class and magnitude of spec."""
     m = spec.coeff_mag
     a = 1.0 + m
-    if spec.class_id is ClassId.G1:
+    if spec.class_id is _G1:
         a2, m2 = 2.0 * a, 2.0 * m
 
         def disk_at(r):
@@ -50,7 +52,7 @@ def quartic(class_id: ClassId, m: float, p: float,
     h = N - (p(1 - r^2) + q) X with X = r^2 + mr + 1 and
     N = (1 + m) r + (4 + m) r^2 + (1 + m) r^3 for G2. Each coefficient is
     grouped as in the product expansion, so the floats match it bit for bit."""
-    if class_id is ClassId.G1:
+    if class_id is _G1:
         n, m2 = 2.0 * (1.0 + m), 2.0 * m
         return (-p - q, n - p * m2 - q * m2, 4.0 * (1.0 + m) - q * 2.0,
                 n + p * m2 - q * m2, p - q)

@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 from typing import List, Optional, Sequence
 
@@ -19,6 +20,11 @@ CSV_HEADER = ["class", "b", "coeff_mag", "target", "alpha", "gamma",
               "variant", "rho", "residual", "status"]
 
 _CLASS_NAMES = [c.value for c in ClassId]
+
+# argparse before Python 3.13 takes a negative number in exponent form, such
+# as the -1e-05 that table prints for b, for an option; after "=" it is a value.
+_NEGATIVE_EXPONENT = re.compile(r"-(\d+\.?\d*|\.\d+)[eE][-+]?\d+")
+_B_OPTIONS = ("--b", "--b-start", "--b-end")
 
 
 def _fmt(x) -> str:
@@ -289,9 +295,23 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _join_negative_exponents(argv: Sequence[str]) -> List[str]:
+    """argv with each negative number in exponent form that follows --b,
+    --b-start or --b-end joined to it with "=", so that argparse reads it as
+    the option's value."""
+    out: List[str] = []
+    for arg in argv:
+        if out and out[-1] in _B_OPTIONS and _NEGATIVE_EXPONENT.fullmatch(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_exponents(
+        sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args, sys.stdout)
     except NoRootError as exc:

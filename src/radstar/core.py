@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import operator
 from typing import Callable, NamedTuple, Optional, Tuple
 
 
@@ -31,12 +32,23 @@ class EvaluationError(ArithmeticError):
     """A rational expression was evaluated at (numerically) a pole."""
 
 
-class ClassId(enum.Enum):
+class _IdentityEnum(enum.Enum):
+    """An enum whose members hash by identity, with object's C __hash__:
+    members are singletons and compare by identity, so hash and == agree,
+    and a dict or set keyed on them runs no Python code. Enum's own
+    __hash__, hash(self._name_), is a Python function. The hash of a member
+    differs between processes, and so does that of a value type holding
+    one; within a process equal values hash alike."""
+
+    __hash__ = object.__hash__
+
+
+class ClassId(_IdentityEnum):
     G1 = "g1"
     G2 = "g2"
 
 
-class Family(enum.Enum):
+class Family(_IdentityEnum):
     STARLIKE_ORDER = "starlike"
     LEMNISCATE = "lemniscate"
     PARABOLIC = "parabolic"
@@ -51,16 +63,22 @@ class Family(enum.Enum):
     SIGMOID_SG = "sg"
 
 
-class Variant(enum.Enum):
+class Variant(_IdentityEnum):
     CENTER_CORRECTED = "corrected"
     PRINTED = "printed"
     # Third reading of the flagged nephroid condition; only adjudication uses it.
     PRINTED_PROOF = "printed-proof"
 
 
-class ConditionKind(enum.Enum):
+class ConditionKind(_IdentityEnum):
     POLYNOMIAL = "polynomial"
     COMPOSITE = "composite"
+
+
+# Members compared on every cell are read as module globals: on Python 3.11
+# EnumType has a __getattr__, which keeps a read such as ClassId.G1 off the
+# interpreter's fast attribute path (about 100 ns against 15 ns).
+_POLYNOMIAL = ConditionKind.POLYNOMIAL
 
 
 class ClassDef(NamedTuple):
@@ -174,6 +192,19 @@ class DiskSpec(NamedTuple):
     den: float
 
 
+class _Evaluator(property):
+    """RadiusCondition.__call__. Read on a condition it is the condition's
+    evaluator _h itself, by property's C __get__, so cond.__call__, bound
+    once, evaluates h with no frame of its own. Read on the class it is
+    this object, which takes (cond, r) to cond._h(r): a patch that wraps
+    RadiusCondition.__call__ sees every evaluation made through
+    cond.__call__ or cond(r), and setting the value it read back restores
+    this object."""
+
+    def __call__(self, cond, r):
+        return cond._h(r)
+
+
 class _ConditionFields(NamedTuple):
     kind: ConditionKind
     variant: Variant
@@ -190,7 +221,9 @@ class RadiusCondition(_ConditionFields):
     when the condition is built, and more than five are refused.
     h, the Horner closure or the evaluator, is an instance attribute beside
     the five fields (the class has no __slots__), so ==, hash and repr read
-    the fields alone."""
+    the fields alone. cond.__call__ is h itself and cond(r) is h(r); on the
+    class, __call__ is an _Evaluator, which a patch can wrap to count every
+    evaluation."""
 
     def __new__(cls, kind: ConditionKind, variant: Variant,
                 coeffs: Optional[Tuple[float, ...]] = None,
@@ -203,14 +236,12 @@ class RadiusCondition(_ConditionFields):
             coeffs = tuple(coeffs) + (0.0,) * (5 - n)
         self = tuple.__new__(cls, (kind, variant, coeffs, evaluator,
                                    extrapolation))
-        self._h = (_horner(coeffs) if kind is ConditionKind.POLYNOMIAL
-                   else evaluator)
+        self._h = _horner(coeffs) if kind is _POLYNOMIAL else evaluator
         return self
 
     _make = classmethod(_make_through_new)
 
-    def __call__(self, r: float) -> float:
-        return self._h(r)
+    __call__ = _Evaluator(operator.attrgetter("_h"))
 
 
 def _horner(coeffs: Tuple[float, ...]) -> Callable[[float], float]:

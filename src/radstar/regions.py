@@ -27,6 +27,7 @@ MAX_SAMPLES = 1_000_000
 _K = SQRT2 + 1.0
 _K2 = _K * _K
 _C_RL = 2.0 * (SQRT2 - 1.0)
+_RL = Family.RATIONAL_RL  # read as a module global (see core._POLYNOMIAL)
 
 
 class _Numpy:
@@ -398,7 +399,7 @@ def containment_threshold(t: TargetSpec, c: float) -> float:
     outside its left loop."""
     if c < 1.0:
         raise ParameterError(f"center c={c!r} below 1")
-    if t.family is Family.RATIONAL_RL:  # the one threshold not affine in c
+    if t.family is _RL:  # the one threshold not affine in c
         if c >= SQRT2:
             return 0.0
         t2 = 1.0 - (SQRT2 - c) ** 2  # in (0.8, 1] for c in [1, sqrt2)

@@ -20,6 +20,11 @@ _U = 2.0 ** -53  # the unit roundoff of a double
 _SLACK = 1.0 + 2.0 ** -40  # raises a bound computed in floats over its rounding
 _INF = float("inf")
 DEFAULT_TOL = 1e-12
+# Members compared on every cell, read as module globals (see core._POLYNOMIAL).
+_CORRECTED, _PRINTED, _PRINTED_PROOF = (Variant.CENTER_CORRECTED,
+                                         Variant.PRINTED, Variant.PRINTED_PROOF)
+_POLYNOMIAL, _COMPOSITE = ConditionKind.POLYNOMIAL, ConditionKind.COMPOSITE
+_STARLIKE = Family.STARLIKE_ORDER
 
 
 def _stated(class_id: ClassId, t: TargetSpec, fd: regions.FamilyDef) -> bool:
@@ -27,7 +32,7 @@ def _stated(class_id: ClassId, t: TargetSpec, fd: regions.FamilyDef) -> bool:
     other cell is an extrapolation and needs the extended flag. fd is the
     FamilyDef of the target's family."""
     return (class_id in fd.classes
-            or (t.family is Family.STARLIKE_ORDER and t.alpha == 0.0))
+            or (t.family is _STARLIKE and t.alpha == 0.0))
 
 
 def _rl_evaluator(spec: ClassSpec, t: TargetSpec, printed_center: bool):
@@ -57,10 +62,9 @@ def _reading(class_id: ClassId, fd: regions.FamilyDef,
     """The reading assemble_condition solves: the requested policy where it
     is one of the alternate readings the FamilyDef fd lists for the class,
     and the corrected condition everywhere else."""
-    if policy is Variant.CENTER_CORRECTED or not fd.readings:
-        return Variant.CENTER_CORRECTED
-    return (policy if policy in fd.readings.get(class_id, ())
-            else Variant.CENTER_CORRECTED)
+    if policy is _CORRECTED or not fd.readings:
+        return _CORRECTED
+    return policy if policy in fd.readings.get(class_id, ()) else _CORRECTED
 
 
 def assemble_condition(spec: ClassSpec, t: TargetSpec,
@@ -77,26 +81,26 @@ def assemble_condition(spec: ClassSpec, t: TargetSpec,
             f"target {t.family.value!r} is not stated for g2; "
             "pass extended=True to extrapolate")
     variant = _reading(spec.class_id, fd, policy)
-    if policy is Variant.PRINTED_PROOF and variant is not policy:
+    if policy is _PRINTED_PROOF and variant is not policy:
         raise ParameterError(f"{spec.class_id.value} {t.label()} has no "
                              "printed-proof reading")
 
     affine = fd.threshold
     if affine is None:  # RL: the threshold is not affine in the center
-        printed_center = variant is not Variant.CENTER_CORRECTED
-        return RadiusCondition(ConditionKind.COMPOSITE, variant,
+        printed_center = variant is not _CORRECTED
+        return RadiusCondition(_COMPOSITE, variant,
                                evaluator=_rl_evaluator(spec, t, printed_center),
                                extrapolation=extrapolation)
 
     m = spec.coeff_mag
-    if variant is Variant.PRINTED:  # first alternate reading of g1 nephroid
+    if variant is _PRINTED:  # first alternate reading of g1 nephroid
         coeffs = (-2.0, 2.0 * (3.0 + m), 6.0 * (2.0 + m), 2.0 * (3.0 + m), 8.0)
-    elif variant is Variant.PRINTED_PROOF:
+    elif variant is _PRINTED_PROOF:
         # second alternate reading, derived with the uncorrected center
         coeffs = (-2.0, 2.0 * (3.0 + m), 15.0 + 12.0 * m, 6.0 + 16.0 * m, 5.0)
     else:
         coeffs = bounds.quartic(spec.class_id, m, *affine(t))
-    return RadiusCondition(ConditionKind.POLYNOMIAL, variant, coeffs=coeffs,
+    return RadiusCondition(_POLYNOMIAL, variant, coeffs=coeffs,
                            extrapolation=extrapolation)
 
 
@@ -262,8 +266,10 @@ def smallest_root_in_01(cond: RadiusCondition,
     and takes the sign proven there everywhere else, so its brackets are
     those of evaluating every midpoint; no other condition gets a window.
     A NaN value of h is neither negative nor a sign change: it raises
-    NoRootError. Every evaluation goes through cond's __call__, bound once
-    here, so a count patched onto RadiusCondition.__call__ sees each one.
+    NoRootError. Every evaluation goes through cond.__call__, bound once
+    here: that is cond's evaluator itself, with no frame around it, and
+    where a patch wraps RadiusCondition.__call__ on the class it is the
+    patch, bound to cond, so a count there sees each one.
 
     The bracket holds the first float sign change of h, which need not be
     near a root where h touches zero: on the double root of
@@ -279,7 +285,7 @@ def smallest_root_in_01(cond: RadiusCondition,
         raise _no_root(cond, "condition is NaN at r=0.0", h0)
 
     c = err = None
-    if cond.kind is ConditionKind.POLYNOMIAL:
+    if cond.kind is _POLYNOMIAL:
         c = cond.coeffs
         err = _horner_error(c)
     rl = getattr(cond.evaluator, "rl_bounded", False)
@@ -314,8 +320,9 @@ def smallest_root_in_01(cond: RadiusCondition,
                 raise _no_root(cond, f"condition is NaN at r={mid!r}", h0)
         iterations += 1
     rho = 0.5 * (lo + hi)
-    return RadiusResult(rho, abs(f(rho)), (lo, hi), cond.variant, iterations,
-                        cond.extrapolation)
+    return tuple.__new__(RadiusResult, (rho, abs(f(rho)), (lo, hi),
+                                        cond.variant, iterations,
+                                        cond.extrapolation))
 
 
 def compute_radius(spec: ClassSpec, t: TargetSpec,
@@ -367,7 +374,8 @@ def radius_table(class_id: ClassId, specs: Iterable[ClassSpec],
             try:
                 res = compute_radius(spec, t, policy, tol, extended)
                 # res.variant is the reading assemble_condition solved
-                cells.append(TableCell(spec, t, res.variant, res, None))
+                cells.append(tuple.__new__(
+                    TableCell, (spec, t, res.variant, res, None, None)))
             except (NoRootError, ParameterError) as exc:
                 kind = ("no-root" if isinstance(exc, NoRootError)
                         else "unsupported"

@@ -136,6 +136,51 @@ def test_order_option_no_target_takes_exit_code(argv, code, capsys):
         assert out and err == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["radius", "--class", "g1", "--b", "-1e-5", "--target", "starlike",
+     "--alpha", "0"],
+    ["table", "--class", "g1", "--b-start", "-1", "--b-end", "-1e-5",
+     "--b-steps", "2"],
+    ["table", "--class", "g2", "--b-start", "-1E-1", "--b-end", "-.5e-2",
+     "--b-steps", "3", "--format", "json"],
+], ids=["radius", "table", "table-json"])
+def test_negative_exponent_values(argv, capsys):
+    # a negative b in exponent form, spaced from its option, reads as the
+    # "=" form does
+    joined = list(argv)
+    for opt in ("--b", "--b-start", "--b-end"):
+        if opt in joined:
+            i = joined.index(opt)
+            joined[i:i + 2] = [f"{opt}={joined[i + 1]}"]
+    assert len(joined) < len(argv)
+    spaced = _main(argv, capsys)
+    assert spaced == _main(joined, capsys)
+    code, out, err = spaced
+    assert code == 0 and out and err == ""
+
+
+def test_table_b_passes_back_to_radius(capsys):
+    # table prints b = -1e-05 in exponent form; passed back to radius as
+    # printed, it gives the table row's radius
+    _, out, _ = _main(["table", "--class", "g1", "--b-start", "-1",
+                       "--b-end=-1e-5", "--b-steps", "2",
+                       "--targets", "cardioid"], capsys)
+    row = list(csv.DictReader(io.StringIO(out)))[-1]
+    assert row["b"] == "-1e-05"
+    code, out, _ = _main(["radius", "--class", "g1", "--b", row["b"],
+                          "--target", "cardioid", "--format", "csv"], capsys)
+    assert code == 0
+    assert list(csv.DictReader(io.StringIO(out))) == [row]
+
+
+def test_unknown_option_still_refused(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["radius", "--class", "g1", "--b", "-1e-5",
+                  "--target", "starlike", "--bogus"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+
+
 def test_printed_variant_labels_the_reading_solved():
     # only g1 nephroid and g1 rl have a printed reading; every other cell
     # solves, and is labelled, the corrected condition

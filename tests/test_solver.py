@@ -1,5 +1,7 @@
+import enum
 import math
 import struct
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -545,6 +547,59 @@ def test_rl_cell_h_evaluations(monkeypatch):
     assert n == 41 * 3
 
 
+def test_patched_call_sees_every_evaluation(monkeypatch):
+    # the solver binds cond.__call__, which is the condition's _h itself;
+    # a patch on the class binds in its place, so on every library cell of
+    # both kinds the patch counts each call that reaches _h, and a solver
+    # that called _h around the patch would count more at _h
+    patched = []
+    call = RadiusCondition.__call__
+
+    def counted(cond, r):
+        patched.append(r)
+        return call(cond, r)
+
+    monkeypatch.setattr(RadiusCondition, "__call__", counted)
+    kinds = set()
+    for cell, cond in _library_conditions(set(Family)):
+        reached = []
+        h = cond._h
+
+        def counted_h(r, h=h, reached=reached):
+            reached.append(r)
+            return h(r)
+
+        cond._h = counted_h
+        patched.clear()
+        smallest_root_in_01(cond)
+        assert len(reached) >= 12, cell
+        assert patched == reached, cell
+        kinds.add(cond.kind)
+    assert kinds == set(ConditionKind)
+
+
+def test_call_patch_undone_restores_the_bound_evaluator():
+    # the tracer's patch reads RadiusCondition.__call__, sets a wrapper and
+    # sets back what it read; the class then holds the same object as
+    # before, so cond.__call__ is again the evaluator and the solver's calls
+    # take no extra frame
+    cond = assemble_condition(make_class(ClassId.G1, -0.7),
+                              default_target(Family.CARDIOID))
+    before = RadiusCondition.__dict__["__call__"]
+    assert cond.__call__ is cond._h
+    original = getattr(RadiusCondition, "__call__")
+    setattr(RadiusCondition, "__call__", lambda c, r: original(c, r))
+    try:
+        assert cond.__call__ is not cond._h
+        assert cond.__call__(0.3) == cond._h(0.3)
+    finally:
+        setattr(RadiusCondition, "__call__", original)
+    assert RadiusCondition.__dict__["__call__"] is before
+    assert cond.__call__ is cond._h
+    for r in (0.0, 0.3, 0.999):
+        assert cond(r) == cond._h(r)
+
+
 def _outcome(find_root, cond):
     try:
         return repr(find_root(cond))
@@ -769,3 +824,29 @@ def test_radius_table_class_mismatch():
     with pytest.raises(ParameterError):
         radius_table(ClassId.G1, [make_class(ClassId.G2, -1.0)],
                      supported_targets(ClassId.G1))
+
+
+def test_radius_table_runs_no_enum_code():
+    # after a warm-up, a table row per class enters no function of enum.py:
+    # the enums hash by identity, in C, so the FamilyDef lookups and the
+    # class tests run no Enum.__hash__
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == enum.__file__:
+            entered.add(frame.f_code.co_name)
+
+    rows = [(class_id, make_class(class_id, -0.7), supported_targets(class_id))
+            for class_id in ClassId]
+    assert [len(targets) for _, _, targets in rows] == [12, 9]
+    for class_id, spec, targets in rows:
+        radius_table(class_id, [spec], targets)
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for class_id, spec, targets in rows:
+            cells = radius_table(class_id, [spec], targets)
+    finally:
+        sys.setprofile(previous)
+    assert all(c.status == "OK" for c in cells)
+    assert not entered, entered
