@@ -205,6 +205,32 @@ class _Evaluator(property):
         return cond._h(r)
 
 
+# Horner's rule on a quartic errs by at most gamma_8 * sum |c_i| on [0, 1]
+# (Higham, Accuracy and Stability of Numerical Algorithms, 5.1), the Bernstein
+# coefficients by gamma_10 * sum |c_i|: 2 ** -47 bounds both, 2 ** -1070 underflow.
+_HORNER_ERR = 2.0 ** -47
+_SLACK = 1.0 + 2.0 ** -40  # raises a bound computed in floats over its rounding
+_INF = float("inf")
+
+
+class _Proof:
+    """What is proven of h, one instance for each kind of evaluator. The
+    solver asks negative_to(cond, x): is float h negative at every point
+    of the 1e-3 grid in [0, x]? And step_bound(cond, lo, hi): the rounding
+    bound (E, rho) of the step, which solver._root_window takes. This is
+    the empty proof: it proves nothing, so the grid is walked and every
+    midpoint evaluated. _QuarticProof and solver._RLProof prove more."""
+
+    def negative_to(self, cond, x: float) -> bool:
+        return False
+
+    def step_bound(self, cond, lo: float, hi: float) -> Tuple[float, float]:
+        return _INF, _INF
+
+
+_NO_PROOF = _Proof()
+
+
 class _ConditionFields(NamedTuple):
     kind: ConditionKind
     variant: Variant
@@ -219,16 +245,18 @@ class RadiusCondition(_ConditionFields):
     h takes a float r; a polynomial condition is evaluated by Horner's rule,
     unrolled once here. Coefficients are padded with leading zeros to five
     when the condition is built, and more than five are refused.
-    h, the Horner closure or the evaluator, is an instance attribute beside
-    the five fields (the class has no __slots__), so ==, hash and repr read
-    the fields alone. cond.__call__ is h itself and cond(r) is h(r); on the
-    class, __call__ is an _Evaluator, which a patch can wrap to count every
-    evaluation."""
+    h, the Horner closure or the evaluator, and proof (_Proof) are instance
+    attributes beside the five fields (the class has no __slots__), so ==,
+    hash and repr read the fields alone. A polynomial condition's proof is
+    _QUARTIC_PROOF; a composite one's is proof=, the empty proof unless its
+    builder gives one, and always after _make and _replace. cond.__call__ is
+    h itself and cond(r) is h(r); on the class, __call__ is an _Evaluator,
+    which a patch can wrap to count every evaluation."""
 
     def __new__(cls, kind: ConditionKind, variant: Variant,
                 coeffs: Optional[Tuple[float, ...]] = None,
                 evaluator: Optional[Callable[[float], float]] = None,
-                extrapolation: bool = False):
+                extrapolation: bool = False, proof: _Proof = _NO_PROOF):
         if coeffs is not None and len(coeffs) != 5:
             n = len(coeffs)
             if n > 5:
@@ -237,6 +265,7 @@ class RadiusCondition(_ConditionFields):
         self = tuple.__new__(cls, (kind, variant, coeffs, evaluator,
                                    extrapolation))
         self._h = _horner(coeffs) if kind is _POLYNOMIAL else evaluator
+        self.proof = _QUARTIC_PROOF if kind is _POLYNOMIAL else proof
         return self
 
     _make = classmethod(_make_through_new)
@@ -256,6 +285,47 @@ def _horner(coeffs: Tuple[float, ...]) -> Callable[[float], float]:
         return (((a4 * r + c3) * r + c2) * r + c1) * r + c0
 
     return h
+
+
+def _horner_error(c: Tuple[float, ...]) -> float:
+    """Bound on the rounding error of Horner's rule, and of the Bernstein
+    coefficients, on the quartic of coefficients c anywhere on [0, 1];
+    inf where a coefficient is NaN or infinite, or so large that a partial
+    sum could overflow, so that no check passes."""
+    s = abs(c[0]) + abs(c[1]) + abs(c[2]) + abs(c[3]) + abs(c[4])
+    return _HORNER_ERR * s + 2.0 ** -1070 if s < 2.0 ** 1000 else _INF
+
+
+class _QuarticProof(_Proof):
+    """The proof of every polynomial condition, from its coefficients c and
+    err = _horner_error(c), infinite where a coefficient is NaN or infinite.
+    negative_to(cond, x), x <= 1: the Bernstein coefficients on [0, x] bound
+    h above and lie below -err, so Horner's rule is negative in floats on
+    all of [0, x]. step_bound: (err, 1), h being its own D = 1 and G, where
+    exact h' is proven positive on the step, else (inf, inf). The proof is
+    dmin > 0: dmin is h'(lo) by Horner, less 4 err, which bounds its
+    rounding, and less the step times a bound on |h''|."""
+
+    def negative_to(self, cond, x):
+        c0, c1, c2, c3, c4 = c = cond.coeffs
+        x2 = x * x
+        a1, a2, a3, a4 = c1 * x, c2 * x2, c3 * (x2 * x), c4 * (x2 * x2)
+        bound = -_horner_error(c)
+        return (c0 < bound and c0 + a1 / 4.0 < bound
+                and c0 + a1 / 2.0 + a2 / 6.0 < bound
+                and c0 + 0.75 * a1 + a2 / 2.0 + a3 / 4.0 < bound
+                and c0 + a1 + a2 + a3 + a4 < bound)
+
+    def step_bound(self, cond, lo, hi):
+        _, c1, c2, c3, c4 = c = cond.coeffs
+        err = _horner_error(c)
+        dmin = (((4.0 * c4 * lo + 3.0 * c3) * lo + 2.0 * c2) * lo + c1
+                - (4.0 * err + (2.0 * abs(c2) + 6.0 * abs(c3) + 12.0 * abs(c4))
+                   * (hi - lo)) * _SLACK)
+        return (err, 1.0) if dmin > 0.0 else (_INF, _INF)
+
+
+_QUARTIC_PROOF = _QuarticProof()
 
 
 class RadiusResult(NamedTuple):

@@ -242,10 +242,6 @@ def _lune_boundary(n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # The family table
 
-# Tolerance of the boundary-contact check at a sharp radius.
-_SHARP_TOL = 1e-6
-
-
 class FamilyDef(NamedTuple):
     """Every per-family fact of one target domain.
 
@@ -255,8 +251,8 @@ class FamilyDef(NamedTuple):
     threshold(t) = (p, q): the disk {|w - c| < R}, c >= 1, lies in the domain
     while R <= p + q * c; None where the threshold is not affine in c.
     contact(t, v) = (functional value, claimed contact value) at v = zf'/f.
-    sharp[class_id] = (witness, sign of the contact point, tolerance) for
-    the classes whose radius for this domain is sharp.
+    sharp[class_id] = (witness, sign of the contact point) for the classes
+    whose radius for this domain is sharp.
     classes: the classes for which the radius condition is stated (all by
     default).
     readings[class_id]: the alternate printed readings of the class's
@@ -270,7 +266,7 @@ class FamilyDef(NamedTuple):
     generator: Optional[Callable[[np.ndarray], np.ndarray]] = None
     boundary: Optional[Callable[[TargetSpec, int], np.ndarray]] = None
     contact: Optional[Callable[[TargetSpec, complex], Tuple[float, float]]] = None
-    sharp: Mapping[ClassId, Tuple[ExtremalId, int, float]] = MappingProxyType({})
+    sharp: Mapping[ClassId, Tuple[ExtremalId, int]] = MappingProxyType({})
     readings: Mapping[ClassId, Tuple[Variant, ...]] = MappingProxyType({})
 
 
@@ -280,7 +276,7 @@ FAMILIES: Dict[Family, FamilyDef] = {
         boundary=lambda t, n: _halfplane_boundary(t.alpha, n),
         threshold=lambda t: (-t.alpha, 1.0),
         contact=lambda t, v: (v.real, t.alpha),
-        sharp={ClassId.G1: (ExtremalId.F1, +1, _SHARP_TOL)},
+        sharp={ClassId.G1: (ExtremalId.F1, +1)},
         classes=frozenset({ClassId.G1})),
     Family.LEMNISCATE: FamilyDef(
         # right loop only; |w^2-1| < 1 already excludes the imaginary axis
@@ -288,35 +284,35 @@ FAMILIES: Dict[Family, FamilyDef] = {
         generator=lambda z: np.sqrt(1.0 + z),
         threshold=lambda t: (SQRT2, -1.0),
         contact=lambda t, v: (abs(v * v - 1.0), 1.0),
-        sharp={ClassId.G1: (ExtremalId.F2, -1, _SHARP_TOL)},
+        sharp={ClassId.G1: (ExtremalId.F2, -1)},
         classes=frozenset({ClassId.G1})),
     Family.PARABOLIC: FamilyDef(
         mask=lambda t, w: np.abs(w - 1.0) < w.real,
         boundary=lambda t, n: _parabola_boundary(n),
         threshold=lambda t: (-0.5, 1.0),
         contact=lambda t, v: (v.real, abs(v - 1.0)),
-        sharp={ClassId.G1: (ExtremalId.F1, +1, _SHARP_TOL)},
+        sharp={ClassId.G1: (ExtremalId.F1, +1)},
         classes=frozenset({ClassId.G1})),
     Family.EXPONENTIAL: FamilyDef(
         mask=lambda t, w: _log_disk(w),
         generator=lambda z: np.exp(z),
         threshold=lambda t: (-1.0 / E, 1.0),
         contact=lambda t, v: (abs(cmath.log(v)), 1.0),
-        sharp={ClassId.G1: (ExtremalId.F1, +1, _SHARP_TOL)},
+        sharp={ClassId.G1: (ExtremalId.F1, +1)},
         classes=frozenset({ClassId.G1})),
     Family.CARDIOID: FamilyDef(
         mask=lambda t, w: cardioid_quartic(w.real, w.imag) < 0.0,
         generator=lambda z: (3.0 + 4.0 * z + 2.0 * z * z) / 3.0,
         threshold=lambda t: (-1.0 / 3.0, 1.0),
         contact=lambda t, v: (abs(v), 1.0 / 3.0),
-        sharp={ClassId.G1: (ExtremalId.F1, +1, _SHARP_TOL)}),
+        sharp={ClassId.G1: (ExtremalId.F1, +1)}),
     Family.SINE: FamilyDef(
         mask=_sine_mask,
         generator=lambda z: 1.0 + np.sin(z),
         threshold=lambda t: (SIN1 + 1.0, -1.0),
         contact=lambda t, v: (abs(v), 1.0 + SIN1),
-        sharp={ClassId.G1: (ExtremalId.F2, -1, _SHARP_TOL),
-               ClassId.G2: (ExtremalId.F3, -1, _SHARP_TOL)}),
+        sharp={ClassId.G1: (ExtremalId.F2, -1),
+               ClassId.G2: (ExtremalId.F3, -1)}),
     Family.LUNE: FamilyDef(
         # the image of z + sqrt(1 + z^2) is the right lobe of |w^2-1| < 2|w|
         # (Raina and Sokol, C. R. Math. Acad. Sci. Paris 353 (2015) 973-978)
@@ -328,7 +324,7 @@ FAMILIES: Dict[Family, FamilyDef] = {
         generator=lambda z: 1.0 + (z * (_K + z)) / (_K * (_K - z)),
         threshold=lambda t: (2.0 - 2.0 * SQRT2, 1.0),
         contact=lambda t, v: (abs(v), 2.0 * (SQRT2 - 1.0)),
-        sharp={ClassId.G1: (ExtremalId.F1, +1, _SHARP_TOL)}),
+        sharp={ClassId.G1: (ExtremalId.F1, +1)}),
     Family.RATIONAL_RL: FamilyDef(
         mask=_rl_mask,
         generator=_rl_generator,
@@ -343,16 +339,16 @@ FAMILIES: Dict[Family, FamilyDef] = {
         generator=lambda z: 1.0 + z - z**3 / 3.0,
         threshold=lambda t: (5.0 / 3.0, -1.0),
         contact=lambda t, v: (abs(v), 5.0 / 3.0),
-        sharp={ClassId.G1: (ExtremalId.F2, -1, _SHARP_TOL),
-               ClassId.G2: (ExtremalId.F3, -1, _SHARP_TOL)},
+        sharp={ClassId.G1: (ExtremalId.F2, -1),
+               ClassId.G2: (ExtremalId.F3, -1)},
         readings={ClassId.G1: (Variant.PRINTED, Variant.PRINTED_PROOF)}),
     Family.SIGMOID_SG: FamilyDef(
         mask=_sg_mask,
         generator=lambda z: 2.0 / (1.0 + np.exp(-z)),
         threshold=lambda t: (2.0 * E / (1.0 + E), -1.0),
         contact=lambda t, v: (abs(cmath.log(v / (2.0 - v))), 1.0),
-        sharp={ClassId.G1: (ExtremalId.F2, -1, _SHARP_TOL),
-               ClassId.G2: (ExtremalId.F3, -1, _SHARP_TOL)}),
+        sharp={ClassId.G1: (ExtremalId.F2, -1),
+               ClassId.G2: (ExtremalId.F3, -1)}),
 }
 
 

@@ -7,18 +7,13 @@ from typing import (Callable, Iterable, List, NamedTuple, Optional, Sequence,
                     Tuple)
 
 from . import bounds, regions
-from .core import (ClassId, ClassSpec, ConditionKind, Family, NoRootError,
-                   ParameterError, RadiusCondition, RadiusResult, TargetSpec,
-                   UnsupportedCombinationError, Variant, default_target)
+from .core import (_INF, _SLACK, ClassId, ClassSpec, ConditionKind, Family,
+                   NoRootError, ParameterError, RadiusCondition, RadiusResult,
+                   TargetSpec, UnsupportedCombinationError, Variant,
+                   _Proof, default_target)
 
 _SCAN_STEP, _SCAN_END = 1e-3, 1000  # the grid: k * _SCAN_STEP, 0 < k < _SCAN_END
-# Horner's rule on a quartic errs by at most gamma_8 * sum |c_i| on [0, 1]
-# (Higham, Accuracy and Stability of Numerical Algorithms, 5.1), the Bernstein
-# coefficients by gamma_10 * sum |c_i|: 2 ** -47 bounds both, 2 ** -1070 underflow.
-_HORNER_ERR = 2.0 ** -47
 _U = 2.0 ** -53  # the unit roundoff of a double
-_SLACK = 1.0 + 2.0 ** -40  # raises a bound computed in floats over its rounding
-_INF = float("inf")
 DEFAULT_TOL = 1e-12
 # Members compared on every cell, read as module globals (see core._POLYNOMIAL).
 _CORRECTED, _PRINTED, _PRINTED_PROOF = (Variant.CENTER_CORRECTED,
@@ -41,10 +36,8 @@ def _rl_evaluator(spec: ClassSpec, t: TargetSpec, printed_center: bool):
     h = den * G with den > 0 and exact G = radius - threshold strictly
     increasing on [0, 1): the disk radius grows with r, the threshold falls
     as the center grows from 1 to sqrt2, and from sqrt2 on it is 0. So h
-    changes sign once, and its float signs on the grid too. The closure is
-    marked rl_bounded: the solver takes its grid signs as changing once, and
-    _rl_rounding_bound, which covers its rounding, as its step's bound, on
-    this evaluator and on no other."""
+    changes sign once, and its float signs on the grid too, as _RLProof
+    states; assemble_condition gives it to this evaluator's condition alone."""
     disk_at = bounds.disk_map(spec)
 
     def h(r):
@@ -53,8 +46,53 @@ def _rl_evaluator(spec: ClassSpec, t: TargetSpec, printed_center: bool):
         thr = regions.containment_threshold(t, c)  # never negative for RL
         return radius * den - thr * den
 
-    h.rl_bounded = True
     return h
+
+
+class _RLProof(_Proof):
+    """The proof of the RL condition, on _rl_evaluator's evaluator alone:
+    its grid signs change once, and step_bound is (E, rho) on the step
+    [lo, hi]: E bounds |fl(h)(x) - H(x)| at every float x of the step, and
+    rho bounds den_max / den_min there. H is exact h = N - T(c) D, with
+    N = radius * den and D = den exact, T the RL threshold, and the floats
+    m and SQRT2 taken as exact. E is inf where the center can reach sqrt2
+    on the step.
+
+    With u = 2^-53, Higham's standard model, a correctly rounded sqrt and
+    pow within one ulp (2u), and magnitudes bounded at the step's ends:
+    - every reading's center is at most C = (1 + hi^2)/(1 - hi^2); with
+      e_min = sqrt2 - C > 0, 1/(1 - x^2) < sqrt2 bounds the relative error
+      of 1 - x*x by 1.42u, of the center by 4.42u and of den by 5.42u;
+    - the numerator is within 6u N, so radius * den, where den's rounding
+      cancels, is within 8.01u N;
+    - with e = sqrt2 - c <= sqrt2 - 1 and t2 = 1 - e^2 >= 0.828, the error
+      is at most 6.7u in e, 5.9u in e^2, 6.9u in t2, 4.8u in sqrt(t2) and
+      11.8u in d = sqrt(t2) - t2; exact d is at least 0.476 e^2, so
+      T = sqrt(d) >= 0.69 e_min, and the threshold is within
+      18u / e_min + 0.3u of T, T <= 0.286;
+    - threshold * den is then within (18u / e_min + 2.3u) D, and the last
+      subtraction adds u (N + T D): E = u (10 N + (18 / e_min + 3) D).
+    For m <= 2 (both classes), N <= 4x(1 + x)^2 and D <= (1 + x)^2 at
+    x = hi. D is (1 - x^2) X with X = x^2 + 2mx + 1 (or x^2 + mx + 1) at
+    least 1 and growing at most 2(1 + hi) per unit of x, so
+    rho = (1 - lo^2)/(1 - hi^2) (1 + 2(hi - lo)(1 + hi)). Each bound is
+    raised by _SLACK, which covers the rounding of its own evaluation."""
+
+    def negative_to(self, cond, x):
+        return True
+
+    def step_bound(self, cond, lo, hi):
+        w = 1.0 - hi * hi
+        e_min = regions.SQRT2 - (1.0 + hi * hi) / w * _SLACK
+        if not e_min > 0.0:
+            return _INF, _INF
+        n_max, d_max = 4.0 * hi * (1.0 + hi) ** 2, (1.0 + hi) ** 2
+        err = (10.0 * n_max + (18.0 / e_min + 3.0) * d_max) * _U + 2.0 ** -1070
+        rho = (1.0 - lo * lo) / w * (1.0 + 2.0 * (hi - lo) * (1.0 + hi))
+        return err * _SLACK, rho * _SLACK
+
+
+_RL_PROOF = _RLProof()
 
 
 def _reading(class_id: ClassId, fd: regions.FamilyDef,
@@ -90,7 +128,7 @@ def assemble_condition(spec: ClassSpec, t: TargetSpec,
         printed_center = variant is not _CORRECTED
         return RadiusCondition(_COMPOSITE, variant,
                                evaluator=_rl_evaluator(spec, t, printed_center),
-                               extrapolation=extrapolation)
+                               extrapolation=extrapolation, proof=_RL_PROOF)
 
     m = spec.coeff_mag
     if variant is _PRINTED:  # first alternate reading of g1 nephroid
@@ -113,42 +151,15 @@ def _check_tol(tol: float) -> None:
         raise ParameterError(f"tol={tol!r} outside [1e-15, 1e-6]")
 
 
-def _horner_error(c: Tuple[float, ...]) -> float:
-    """Bound on the rounding error of Horner's rule, and of the Bernstein
-    coefficients, on the quartic of coefficients c anywhere on [0, 1];
-    inf where a coefficient is NaN or infinite, or so large that a partial
-    sum could overflow, so that no check passes."""
-    s = abs(c[0]) + abs(c[1]) + abs(c[2]) + abs(c[3]) + abs(c[4])
-    return _HORNER_ERR * s + 2.0 ** -1070 if s < 2.0 ** 1000 else _INF
-
-
-def _certified_negative(c: Tuple[float, ...], err: float, x: float) -> bool:
-    """True where Horner's rule on the quartic of coefficients c is
-    negative in floats on all of [0, x], x <= 1: its Bernstein coefficients
-    on [0, x] bound it above and lie below minus the rounding error bound
-    err = _horner_error(c). A NaN or infinite coefficient is never
-    certified."""
-    c0, c1, c2, c3, c4 = c
-    x2 = x * x
-    a1, a2, a3, a4 = c1 * x, c2 * x2, c3 * (x2 * x), c4 * (x2 * x2)
-    bound = -err
-    return (c0 < bound and c0 + a1 / 4.0 < bound
-            and c0 + a1 / 2.0 + a2 / 6.0 < bound
-            and c0 + 0.75 * a1 + a2 / 2.0 + a3 / 4.0 < bound
-            and c0 + a1 + a2 + a3 + a4 < bound)
-
-
 def _first_nonnegative(
-        f: Callable[[float], float], h0: float, c: Optional[Tuple[float, ...]],
-        err: Optional[float], rl: bool) -> Tuple[int, float, Optional[float]]:
+        f: Callable[[float], float], h0: float, proof: _Proof,
+        cond: RadiusCondition) -> Tuple[int, float, Optional[float]]:
     """The first k in 1 .. 999 with h(k * _SCAN_STEP) not negative, with h
     at the grid point before it (h0 = h(0) where k = 1) and at k, or
     (_SCAN_END, h(0.999), None); f evaluates h. A binary search ends at
     adjacent lo, hi with h negative at lo (or lo = 0) and not at hi: hi is
-    the point-by-point walk's answer where h is proven negative at every
-    grid point up to lo: on the RL evaluator (rl), whose grid signs change
-    once, and on a quartic of coefficients c and Horner error bound err by
-    _certified_negative. Elsewhere the grid is walked."""
+    the point-by-point walk's answer where proof.negative_to at lo's grid
+    point proves h negative at every grid point up to it; else it walks."""
     lo, hi, h_lo, h_hi = 0, _SCAN_END, h0, None
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -157,8 +168,7 @@ def _first_nonnegative(
             lo, h_lo = mid, h
         else:
             hi, h_hi = mid, h
-    if not (rl or (
-            c is not None and _certified_negative(c, err, lo * _SCAN_STEP))):
+    if not proof.negative_to(cond, lo * _SCAN_STEP):
         h_lo = h0
         for k in range(1, hi):  # the walk
             h = f(k * _SCAN_STEP)
@@ -168,63 +178,13 @@ def _first_nonnegative(
     return hi, h_lo, h_hi
 
 
-def _quartic_rounding_bound(c: Tuple[float, ...], err: float, lo: float,
-                            hi: float) -> Tuple[float, float]:
-    """(E, rho) on the step [lo, hi] of a quartic of coefficients c and
-    Horner error bound err: (err, 1), h being its own D = 1 and G, where
-    exact h' is proven positive on the step, and (inf, inf) elsewhere. The
-    proof is dmin > 0: dmin is h'(lo) by Horner, less 4 err, which bounds
-    its rounding, and less the step times a bound on |h''|."""
-    _, c1, c2, c3, c4 = c
-    dmin = (((4.0 * c4 * lo + 3.0 * c3) * lo + 2.0 * c2) * lo + c1
-            - (4.0 * err + (2.0 * abs(c2) + 6.0 * abs(c3) + 12.0 * abs(c4))
-               * (hi - lo)) * _SLACK)
-    return (err, 1.0) if dmin > 0.0 else (_INF, _INF)
-
-
-def _rl_rounding_bound(lo: float, hi: float) -> Tuple[float, float]:
-    """(E, rho) on the step [lo, hi] of the RL condition: E bounds
-    |fl(h)(x) - H(x)| at every float x of the step, and rho bounds
-    den_max / den_min there. H is exact h = N - T(c) D, with N = radius * den
-    and D = den exact, T the RL threshold, and the floats m and SQRT2 taken
-    as exact. E is inf where the center can reach sqrt2 on the step.
-
-    With u = 2^-53, Higham's standard model, a correctly rounded sqrt and
-    pow within one ulp (2u), and magnitudes bounded at the step's ends:
-    - every reading's center is at most C = (1 + hi^2)/(1 - hi^2); with
-      e_min = sqrt2 - C > 0, 1/(1 - x^2) < sqrt2 bounds the relative error
-      of 1 - x*x by 1.42u, of the center by 4.42u and of den by 5.42u;
-    - the numerator is within 6u N, so radius * den, where den's rounding
-      cancels, is within 8.01u N;
-    - with e = sqrt2 - c <= sqrt2 - 1 and t2 = 1 - e^2 >= 0.828, the error
-      is at most 6.7u in e, 5.9u in e^2, 6.9u in t2, 4.8u in sqrt(t2) and
-      11.8u in d = sqrt(t2) - t2; exact d is at least 0.476 e^2, so
-      T = sqrt(d) >= 0.69 e_min, and the threshold is within
-      18u / e_min + 0.3u of T, T <= 0.286;
-    - threshold * den is then within (18u / e_min + 2.3u) D, and the last
-      subtraction adds u (N + T D): E = u (10 N + (18 / e_min + 3) D).
-    For m <= 2 (both classes), N <= 4x(1 + x)^2 and D <= (1 + x)^2 at
-    x = hi. D is (1 - x^2) X with X = x^2 + 2mx + 1 (or x^2 + mx + 1) at
-    least 1 and growing at most 2(1 + hi) per unit of x, so
-    rho = (1 - lo^2)/(1 - hi^2) (1 + 2(hi - lo)(1 + hi)). Each bound is
-    raised by _SLACK, which covers the rounding of its own evaluation."""
-    w = 1.0 - hi * hi
-    e_min = regions.SQRT2 - (1.0 + hi * hi) / w * _SLACK
-    if not e_min > 0.0:
-        return float("inf"), float("inf")
-    n_max, d_max = 4.0 * hi * (1.0 + hi) ** 2, (1.0 + hi) ** 2
-    err = (10.0 * n_max + (18.0 / e_min + 3.0) * d_max) * _U + 2.0 ** -1070
-    rho = (1.0 - lo * lo) / w * (1.0 + 2.0 * (hi - lo) * (1.0 + hi))
-    return err * _SLACK, rho * _SLACK
-
-
 def _root_window(f: Callable[[float], float], lo: float, hi: float,
                  h_lo: float, h_hi: float, err: float,
                  rho: float) -> Tuple[float, float]:
     """A window (a, b) in the step [lo, hi] outside which the float sign of
     h is proven: negative on [lo, a], positive on [b, hi]; f evaluates h,
     h_lo and h_hi are h at lo and hi, and (err, rho) = (E, rho) is the
-    step's rounding bound (_quartic_rounding_bound, _rl_rounding_bound).
+    step's rounding bound, which the condition's proof states (step_bound).
 
     The bound states that on the step exact h = D G with D > 0, G
     increasing and D_max / D_min <= rho, and that |fl(h) - h| <= E. Then
@@ -259,12 +219,12 @@ def smallest_root_in_01(cond: RadiusCondition,
                         tol: float = DEFAULT_TOL) -> RadiusResult:
     """Locate the least r in (0, 1) with h(r) = 0: the first point of the
     1e-3 grid where h is not negative (_first_nonnegative), then bisection
-    of the step before it to width <= tol. On a quartic and on the RL
-    condition that _rl_evaluator builds, the bisection evaluates h only at
-    midpoints inside a root window (a, b) that _root_window proves from the
-    step's rounding bound (_quartic_rounding_bound, _rl_rounding_bound),
-    and takes the sign proven there everywhere else, so its brackets are
-    those of evaluating every midpoint; no other condition gets a window.
+    of the step before it to width <= tol. It asks cond.proof, not cond's
+    kind, what is proven of h (core._QuarticProof beside core._horner,
+    _RLProof beside _rl_evaluator, else the empty core._Proof): where the
+    grid search may skip the walk, and the step's bound from which
+    _root_window proves a root window (a, b). Bisection evaluates h only at
+    midpoints inside it, so its brackets are those of evaluating every one.
     A NaN value of h is neither negative nor a sign change: it raises
     NoRootError. Every evaluation goes through cond.__call__, bound once
     here: that is cond's evaluator itself, with no frame around it, and
@@ -284,24 +244,15 @@ def smallest_root_in_01(cond: RadiusCondition,
             raise ParameterError(f"condition is nonnegative at r=0 (h(0)={h0!r})")
         raise _no_root(cond, "condition is NaN at r=0.0", h0)
 
-    c = err = None
-    if cond.kind is _POLYNOMIAL:
-        c = cond.coeffs
-        err = _horner_error(c)
-    rl = getattr(cond.evaluator, "rl_bounded", False)
-    k, h_lo, h_hi = _first_nonnegative(f, h0, c, err, rl)
+    proof = cond.proof
+    k, h_lo, h_hi = _first_nonnegative(f, h0, proof, cond)
     if k == _SCAN_END:
         raise _no_root(cond, "no sign change in (0, 1)", h0)
     lo, hi = (k - 1) * _SCAN_STEP, k * _SCAN_STEP
     if h_hi != h_hi:
         raise _no_root(cond, f"condition is NaN at r={hi!r}", h0)
 
-    if c is not None:
-        err, rho = _quartic_rounding_bound(c, err, lo, hi)
-    elif rl:
-        err, rho = _rl_rounding_bound(lo, hi)
-    else:
-        err = rho = _INF
+    err, rho = proof.step_bound(cond, lo, hi)  # unpacked: a star call costs more
     a, b = _root_window(f, lo, hi, h_lo, h_hi, err, rho)
     iterations = 0
     while hi - lo > tol:

@@ -16,6 +16,8 @@ from .regions import MAX_SAMPLES
 
 # Disk samples of each containment scan unless the caller gives a count.
 N_SAMPLES = 512
+# Tolerance of the boundary-contact check at a sharp radius.
+_SHARP_TOL = 1e-6
 
 
 class ScanReport(NamedTuple):
@@ -132,13 +134,14 @@ def sharpness_check(spec: ClassSpec, t: TargetSpec, rho: float) -> SharpnessRepo
     entry = fd.sharp.get(spec.class_id)
     if entry is None:
         return SharpnessReport(applicable=False)
-    eid, sign, tol = entry
+    eid, sign = entry
     z = sign * rho
     v = log_deriv(eid, spec.b, z)
     value, target_value = fd.contact(t, v)
     return SharpnessReport(applicable=True, extremal=eid.value, point=z,
                            value=value, target_value=target_value,
-                           ok=abs(value - target_value) <= tol, tol=tol)
+                           ok=abs(value - target_value) <= _SHARP_TOL,
+                           tol=_SHARP_TOL)
 
 
 def _report(spec: ClassSpec, t: TargetSpec, res: RadiusResult,

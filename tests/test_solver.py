@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from radstar import bounds, regions, solver
+from radstar import bounds, core, regions, solver
 from radstar.core import (CLASSES, ClassId, ConditionKind, DomainError,
                           Family, NoRootError, ParameterError, RadiusCondition,
                           TargetSpec, UnsupportedCombinationError, Variant,
@@ -255,19 +255,19 @@ def _library_conditions(families):
 
 
 def _certified(coeffs, x):
-    c = _poly_condition(coeffs).coeffs
-    return solver._certified_negative(c, solver._horner_error(c), x)
+    cond = _poly_condition(coeffs)
+    return cond.proof.negative_to(cond, x)
 
 
 def _quartic_window(cond, lo, hi):
-    c = cond.coeffs
-    bound = solver._quartic_rounding_bound(c, solver._horner_error(c), lo, hi)
+    bound = cond.proof.step_bound(cond, lo, hi)
     return solver._root_window(cond, lo, hi, cond(lo), cond(hi), *bound)
 
 
 def _rl_window(cond, lo, hi, h_lo, h_hi):
+    # the RL proof's bound, also on a condition that does not carry it
     return solver._root_window(cond, lo, hi, h_lo, h_hi,
-                               *solver._rl_rounding_bound(lo, hi))
+                               *solver._RL_PROOF.step_bound(cond, lo, hi))
 
 
 def test_library_quartics_certified_at_scan_step():
@@ -280,6 +280,7 @@ def test_library_quartics_certified_at_scan_step():
     for cell, cond in _library_conditions(polynomial):
         k = first_stop(cond)
         assert k is not None, cell
+        assert cond.proof is core._QUARTIC_PROOF, cell
         assert _certified(cond.coeffs, (k - 1) * SCAN_STEP), cell
         n += 1
     assert n == 2 * 41 * 15 + 41 * 2  # g1 nephroid has two more readings
@@ -291,7 +292,8 @@ def test_rl_signs_monotone_on_grid():
     # both classes and both centers
     n = 0
     for cell, cond in _library_conditions({Family.RATIONAL_RL}):
-        assert cond.evaluator.rl_bounded, cell
+        assert cond.proof is solver._RL_PROOF, cell
+        assert cond.proof.negative_to(cond, 0.999), cell
         negative = [cond(k * SCAN_STEP) < 0.0 for k in range(1, 1000)]
         assert negative == sorted(negative, reverse=True), cell
         assert negative[0] and not negative[-1], cell
@@ -331,7 +333,7 @@ def test_library_quartics_root_window_proven():
         k = first_stop(cond)
         lo, hi = (k - 1) * SCAN_STEP, k * SCAN_STEP
         a, b = _quartic_window(cond, lo, hi)
-        err = Fraction(solver._horner_error(cond.coeffs))
+        err = Fraction(cond.proof.step_bound(cond, lo, hi)[0])
         assert lo <= a < b <= hi and b - a < hi - lo, cell
         assert a == lo or _exact(cond.coeffs, a) < -err, cell
         assert b == hi or _exact(cond.coeffs, b) > err, cell
@@ -472,7 +474,7 @@ def test_library_rl_root_window_proven():
             k = first_stop(cond)
             lo, hi = (k - 1) * SCAN_STEP, k * SCAN_STEP
             a, b = _rl_window(cond, lo, hi, cond(lo), cond(hi))
-            err = solver._rl_rounding_bound(lo, hi)[0]
+            err = cond.proof.step_bound(cond, lo, hi)[0]
             assert lo <= a < b <= hi and b - a < hi - lo, (class_id, mag, policy)
             xs = np.linspace(lo, hi, 17).tolist() + [a, b, 0.5 * (a + b)]
             for x in xs:
@@ -501,15 +503,16 @@ def test_rl_root_window_refused():
     assert _rl_window(nan_inside, lo, hi, -1.0, 1.0) == (lo, hi)
     # (1 + r^2)/(1 - r^2) reaches sqrt2 at r = sqrt2 - 1 = 0.41421...
     for lo, hi in ((0.414, 0.415), (0.5, 0.501), (0.998, 0.999)):
-        assert solver._rl_rounding_bound(lo, hi)[0] == math.inf
+        assert cond.proof.step_bound(cond, lo, hi)[0] == math.inf
         assert _rl_window(cond, lo, hi, -1.0, 1.0) == (lo, hi)
-    assert solver._rl_rounding_bound(0.413, 0.414)[0] < math.inf
+    assert cond.proof.step_bound(cond, 0.413, 0.414)[0] < math.inf
 
 
 def test_rl_root_window_only_for_the_rl_evaluator():
     # on h = r - 0.3 with a stretch of +1 on [0.2999995, 0.2999999), the
     # grid signs change once, but the RL window, proven for the RL evaluator
-    # alone, would skip the stretch; the bisection evaluates every midpoint
+    # alone, would skip the stretch; a composite condition built without
+    # proof= has the empty proof, so the bisection evaluates every midpoint
     # and finds its start
     def h(r):
         return 1.0 if 0.2999995 <= r < 0.2999999 else r - 0.3
@@ -519,9 +522,12 @@ def test_rl_root_window_only_for_the_rl_evaluator():
     res = smallest_root_in_01(cond)
     assert res.bracket == (0.299999499999918, 0.2999995000008493)
     assert _outcome(smallest_root_in_01, cond) == _outcome(scan_smallest_root, cond)
+    assert cond.proof is core._NO_PROOF
+    assert not cond.proof.negative_to(cond, 0.001)
+    assert cond.proof.step_bound(cond, 0.299, 0.3) == (math.inf, math.inf)
     rl = assemble_condition(make_class(ClassId.G1, -1.0),
                             default_target(Family.RATIONAL_RL))
-    assert rl.evaluator.rl_bounded and not hasattr(h, "rl_bounded")
+    assert rl.proof is solver._RL_PROOF
 
 
 def test_rl_cell_h_evaluations(monkeypatch):

@@ -6,6 +6,7 @@ from types import MappingProxyType
 
 import pytest
 
+from radstar import core, solver
 from radstar.core import (ClassDef, ClassId, ClassSpec, ConditionKind, DiskSpec,
                           Family, ParameterError, RadiusCondition, RadiusResult,
                           TargetSpec, Variant, default_target, make_class)
@@ -126,15 +127,22 @@ def test_make_and_replace_keep_the_type(cls, args, kwargs):
 
 def test_replace_builds_through_new():
     # _replace and _make run the subclass's __new__: a replaced condition
-    # binds its h again, and a replaced target checks its order parameters
-    for family in (Family.CARDIOID, Family.RATIONAL_RL):
+    # binds its h again, and a replaced target checks its order parameters.
+    # A replaced quartic derives the quartic proof from its coefficients; a
+    # replaced RL condition gets the empty proof, as _replace(evaluator=...)
+    # may bring an h the RL proof does not cover: that costs evaluations,
+    # not bits
+    for family, proof in ((Family.CARDIOID, core._QUARTIC_PROOF),
+                          (Family.RATIONAL_RL, core._NO_PROOF)):
         cond = assemble_condition(make_class(ClassId.G1, -0.7),
                                   default_target(family))
         moved = cond._replace(extrapolation=True)
         assert moved.extrapolation and moved(0.2) == cond(0.2)
         assert RadiusCondition._make(cond)(0.2) == cond(0.2)
+        assert moved.proof is RadiusCondition._make(cond).proof is proof
         assert (smallest_root_in_01(moved)
                 == smallest_root_in_01(cond)._replace(extrapolation=True))
+    assert cond.proof is solver._RL_PROOF
     t = TargetSpec(Family.STARLIKE_ORDER, alpha=0.2)
     assert t._replace(alpha=0.5) == TargetSpec(Family.STARLIKE_ORDER, alpha=0.5)
     with pytest.raises(ParameterError):

@@ -180,9 +180,9 @@ def test_sharpness_loose_away_from_extreme_b():
 def test_g1_nephroid_contact_tight_on_negative_half():
     # the g1 nephroid witness touches the boundary to within 1e-11 wherever
     # the coefficient 1 + 2b is not positive, far inside the contact
-    # tolerance of every sharp entry
+    # tolerance of the sharpness check
     t = default_target(Family.NEPHROID)
-    assert regions.FAMILIES[Family.NEPHROID].sharp[ClassId.G1][2] == 1e-6
+    assert verify._SHARP_TOL == 1e-6
     for b in np.linspace(-1.0, -0.5, 101).tolist():
         spec = make_class(ClassId.G1, b)
         rep = sharpness_check(spec, t, solver.compute_radius(spec, t).rho)
