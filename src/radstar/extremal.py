@@ -1,11 +1,11 @@
-"""Extremal functions for the two classes, their Schwarz functions and
-factored logarithmic derivatives."""
+"""Extremal functions for the two classes, through their factored
+logarithmic derivatives."""
 
 from __future__ import annotations
 
 import enum
 
-from .core import ClassId, EvaluationError, ParameterError, coefficient
+from .core import ClassId, EvaluationError, coefficient
 
 _POLE_EPS = 1e-300
 
@@ -25,18 +25,6 @@ def _safe_div(num: complex, den: complex) -> complex:
     if abs(den) < _POLE_EPS:
         raise EvaluationError(f"evaluation at a pole (|denominator|={abs(den)!r})")
     return num / den
-
-
-def eval_extremal(eid: ExtremalId, b: float, z: complex) -> complex:
-    """Value of the extremal function at z."""
-    B = coefficient(_CLASS_OF[eid], b)
-    z = complex(z)
-    if eid is ExtremalId.F1:
-        return _safe_div(z - z * z, (1.0 + z) * (1.0 - 2.0 * B * z + z * z))
-    if eid is ExtremalId.F2:
-        return _safe_div(z * (1.0 + 2.0 * B * z + z * z),
-                         (1.0 + z) ** 2 * (1.0 - z * z))
-    return _safe_div(z * (1.0 + B * z + z * z), (1.0 + z) * (1.0 - z * z))
 
 
 def log_deriv(eid: ExtremalId, b: float, z: complex) -> complex:
@@ -66,16 +54,3 @@ def log_deriv(eid: ExtremalId, b: float, z: complex) -> complex:
             - 2.0 * _safe_div(z, 1.0 + z)
             + _safe_div(z, 1.0 - z))
 
-
-def schwarz_eval(index: int, b: float, z: complex) -> complex:
-    """The Schwarz function paired with each extremal function; w(0) = 0."""
-    eid = {1: ExtremalId.F1, 2: ExtremalId.F2, 3: ExtremalId.F3}.get(index)
-    if eid is None:
-        raise ParameterError(f"schwarz index must be 1, 2 or 3, got {index!r}")
-    B = coefficient(_CLASS_OF[eid], b)
-    z = complex(z)
-    if eid is ExtremalId.F1:
-        return _safe_div(z * (z - B), 1.0 - B * z)
-    if eid is ExtremalId.F2:
-        return _safe_div(z * (z + B), 1.0 + B * z)
-    return _safe_div(z * (z + B / 2.0), 1.0 + B * z / 2.0)

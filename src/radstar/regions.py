@@ -357,11 +357,6 @@ def membership_mask(t: TargetSpec, ws) -> np.ndarray:
     return FAMILIES[t.family].mask(t, np.asarray(ws, dtype=complex))
 
 
-def region_contains(t: TargetSpec, w: complex) -> bool:
-    """True iff w is interior to the target domain."""
-    return bool(membership_mask(t, complex(w)))
-
-
 def boundary_parameters(t: TargetSpec, n: int) -> np.ndarray:
     """Curve parameter in [0, 2*pi] for each sample of region_boundary."""
     if FAMILIES[t.family].generator is not None:

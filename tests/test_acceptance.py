@@ -12,8 +12,9 @@ import pytest
 from radstar import bounds, cli, regions, solver, verify
 from radstar.core import (CLASSES, ClassId, Family, TargetSpec, Variant,
                           class_from_coeff_mag, default_target, make_class)
-from radstar.extremal import ExtremalId, eval_extremal, log_deriv, schwarz_eval
+from radstar.extremal import ExtremalId, log_deriv
 from fractions import Fraction
+from extremal_oracle import eval_extremal, schwarz_eval
 from series_oracle import taylor_coefficients
 
 

@@ -1,7 +1,10 @@
+import types
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import radstar
 from radstar.core import (ClassId, Family, ParameterError, TargetSpec,
                           class_from_coeff_mag, default_target, make_class)
 
@@ -71,3 +74,19 @@ def test_default_target():
     t = default_target(Family.STRONGLY_STARLIKE)
     assert t.gamma == 0.5
     assert default_target(Family.LUNE).alpha is None
+
+
+def test_package_public_names():
+    # what radstar exports, apart from its modules; the witness values, the
+    # Schwarz functions and scalar membership are test oracles, not API
+    public = {name for name, value in vars(radstar).items()
+              if not name.startswith("_")
+              and not isinstance(value, types.ModuleType)}
+    assert public == {
+        "ClassId", "ClassSpec", "DiskSpec", "ExtremalId", "Family",
+        "RadiusCondition", "RadiusResult", "TargetSpec", "Variant",
+        "adjudicate_variant", "assemble_condition", "class_from_coeff_mag",
+        "compute_radius", "containment_scan", "containment_threshold",
+        "default_target", "disk", "log_deriv", "make_class", "radius_table",
+        "region_boundary", "sharpness_check", "smallest_root_in_01",
+        "verify_cell"}

@@ -7,7 +7,8 @@ import pytest
 
 from radstar.core import (CLASSES, ClassId, EvaluationError, ParameterError,
                           make_class)
-from radstar.extremal import ExtremalId, eval_extremal, log_deriv, schwarz_eval
+from radstar.extremal import ExtremalId, log_deriv
+from extremal_oracle import eval_extremal, schwarz_eval
 from series_oracle import series_quotient, taylor_coefficients
 
 
@@ -66,6 +67,15 @@ def test_pole_raises():
         eval_extremal(ExtremalId.F1, -1.0, -1.0)
     with pytest.raises(EvaluationError):
         eval_extremal(ExtremalId.F3, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("eid, z", [
+    (ExtremalId.F1, -1.0), (ExtremalId.F2, -1.0), (ExtremalId.F3, 1.0)])
+def test_log_deriv_pole_raises(eid, z):
+    # z f'/f has a pole where the factor 1 + z (F1, F2) or 1 - z (F3)
+    # vanishes; log_deriv takes z from its caller, so it refuses it
+    with pytest.raises(EvaluationError, match="pole"):
+        log_deriv(eid, -1.0, z)
 
 
 def test_extreme_b_closed_forms():

@@ -12,11 +12,14 @@ from radstar import regions
 from radstar.core import Family, ParameterError, TargetSpec, default_target
 from radstar.regions import (E, SIN1, SQRT2, boundary_parameters,
                              cardioid_quartic, containment_threshold,
-                             membership_mask, nephroid_sextic, region_boundary,
-                             region_contains)
+                             membership_mask, nephroid_sextic, region_boundary)
 from winding_oracle import IndeterminateWindingError, winding_contains
 
 ALL_TARGETS = [default_target(f) for f in Family]
+
+
+def region_contains(t, w):
+    return bool(membership_mask(t, complex(w)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 import enum
+import importlib.util
 import math
 import struct
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -724,6 +726,41 @@ def test_residual_small_across_grid():
                 res = compute_radius(spec, t)
                 assert res.residual <= 1e-10, (t.label(), mag_frac)
                 assert res.bracket[0] <= res.rho <= res.bracket[1]
+
+
+def _load_reference():
+    """benchmarks/reference.py: each radius re-derived from the disk and
+    threshold formulas and solved at 30 digits, importing nothing from
+    radstar."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "reference.py"
+    spec = importlib.util.spec_from_file_location("reference_30_digits", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_standard_grid_brackets_hold_the_reference_root():
+    # every cell of the 11-point standard grid, in each reading its class
+    # states: the final bracket holds the 30-digit root, widened by one ulp
+    # at each end for the rounding of that root to a float
+    ref = _load_reference()
+    cells = 0
+    for class_id in ClassId:
+        max_mag = CLASSES[class_id].max_mag
+        for k in range(11):
+            spec = class_from_coeff_mag(class_id, max_mag * k / 10)
+            for t in supported_targets(class_id):
+                readings = regions.FAMILIES[t.family].readings.get(class_id, ())
+                for variant in (Variant.CENTER_CORRECTED, *readings):
+                    lo, hi = compute_radius(spec, t, variant).bracket
+                    param = t.alpha if t.alpha is not None else t.gamma
+                    root = ref.radius((class_id.value, spec.coeff_mag,
+                                       t.family.value, param, variant.value))
+                    assert (math.nextafter(lo, -math.inf) <= root
+                            <= math.nextafter(hi, math.inf)), \
+                        (class_id, k, t.label(), variant, lo, hi, root)
+                    cells += 1
+    assert cells == 264
 
 
 def test_radius_decreases_with_coeff_mag():

@@ -41,7 +41,7 @@ def test_scan_fails_for_inflated_radius():
     rep = containment_scan(spec, t, min(1.2 * rho, 0.99))
     assert not rep.inside_pass
     assert rep.inside_witness is not None
-    assert not regions.region_contains(t, rep.inside_witness)
+    assert not regions.membership_mask(t, rep.inside_witness)
 
 
 def test_just_outside_scan_gated_for_every_family(monkeypatch, capsys):
@@ -121,11 +121,11 @@ def test_rl_threshold_exact_for_predicate():
         for phi in phis[::100]:
             ray = np.exp(1j * phi)
             lo, hi = 0.0, 3.0
-            if regions.region_contains(t, c + hi * ray):
+            if regions.membership_mask(t, c + hi * ray):
                 continue
             for _ in range(60):
                 mid = 0.5 * (lo + hi)
-                if regions.region_contains(t, c + mid * ray):
+                if regions.membership_mask(t, c + mid * ray):
                     lo = mid
                 else:
                     hi = mid
