@@ -1,6 +1,7 @@
 """The twelve target image domains: one FamilyDef per family holds its exact
 membership predicate, its boundary, its disk-containment threshold, its
-boundary-contact (sharpness) data and any alternate printed readings."""
+boundary-contact (sharpness) data, where its condition is stated and any
+alternate printed readings of that condition."""
 
 from __future__ import annotations
 
@@ -27,7 +28,8 @@ MAX_SAMPLES = 1_000_000
 _K = SQRT2 + 1.0
 _K2 = _K * _K
 _C_RL = 2.0 * (SQRT2 - 1.0)
-_RL = Family.RATIONAL_RL  # read as a module global (see core._POLYNOMIAL)
+# read as module globals (see core._POLYNOMIAL)
+_RL, _STARLIKE = Family.RATIONAL_RL, Family.STARLIKE_ORDER
 
 
 class _Numpy:
@@ -254,9 +256,10 @@ class FamilyDef(NamedTuple):
     sharp[class_id] = (witness, sign of the contact point) for the classes
     whose radius for this domain is sharp.
     classes: the classes for which the radius condition is stated (all by
-    default).
+    default); stated adds the starlike domain of order 0 for every class.
     readings[class_id]: the alternate printed readings of the class's
-    condition, besides the corrected one; only flagged conditions have any.
+    condition, in report order, each mapped to what it changes: the quartic
+    at coefficient magnitude m, or where threshold is None the center at r.
     sharp and readings default to one read-only empty mapping.
     """
 
@@ -267,7 +270,13 @@ class FamilyDef(NamedTuple):
     boundary: Optional[Callable[[TargetSpec, int], np.ndarray]] = None
     contact: Optional[Callable[[TargetSpec, complex], Tuple[float, float]]] = None
     sharp: Mapping[ClassId, Tuple[ExtremalId, int]] = MappingProxyType({})
-    readings: Mapping[ClassId, Tuple[Variant, ...]] = MappingProxyType({})
+    readings: Mapping[ClassId, Mapping[Variant, Callable]] = MappingProxyType({})
+
+    def stated(self, class_id: ClassId, t: TargetSpec) -> bool:
+        """True where the condition for t, of this family, is established
+        for the class; elsewhere it is an extrapolation."""
+        return (class_id in self.classes
+                or (t.family is _STARLIKE and t.alpha == 0.0))
 
 
 FAMILIES: Dict[Family, FamilyDef] = {
@@ -329,7 +338,7 @@ FAMILIES: Dict[Family, FamilyDef] = {
         mask=_rl_mask,
         generator=_rl_generator,
         threshold=None,
-        readings={ClassId.G1: (Variant.PRINTED,)}),
+        readings={ClassId.G1: {Variant.PRINTED: lambda r: 1.0 / (1.0 - r * r)}}),
     Family.STRONGLY_STARLIKE: FamilyDef(
         mask=lambda t, w: (w != 0.0) & (np.abs(np.angle(w)) < 0.5 * math.pi * t.gamma),
         boundary=lambda t, n: _sector_boundary(t.gamma, n),
@@ -341,7 +350,11 @@ FAMILIES: Dict[Family, FamilyDef] = {
         contact=lambda t, v: (abs(v), 5.0 / 3.0),
         sharp={ClassId.G1: (ExtremalId.F2, -1),
                ClassId.G2: (ExtremalId.F3, -1)},
-        readings={ClassId.G1: (Variant.PRINTED, Variant.PRINTED_PROOF)}),
+        readings={ClassId.G1: {  # printed; derived with center 1/(1 - r^2)
+            Variant.PRINTED: lambda m: (
+                -2.0, 2.0 * (3.0 + m), 6.0 * (2.0 + m), 2.0 * (3.0 + m), 8.0),
+            Variant.PRINTED_PROOF: lambda m: (
+                -2.0, 2.0 * (3.0 + m), 15.0 + 12.0 * m, 6.0 + 16.0 * m, 5.0)}}),
     Family.SIGMOID_SG: FamilyDef(
         mask=_sg_mask,
         generator=lambda z: 2.0 / (1.0 + np.exp(-z)),

@@ -16,23 +16,13 @@ _SCAN_STEP, _SCAN_END = 1e-3, 1000  # the grid: k * _SCAN_STEP, 0 < k < _SCAN_EN
 _U = 2.0 ** -53  # the unit roundoff of a double
 DEFAULT_TOL = 1e-12
 # Members compared on every cell, read as module globals (see core._POLYNOMIAL).
-_CORRECTED, _PRINTED, _PRINTED_PROOF = (Variant.CENTER_CORRECTED,
-                                         Variant.PRINTED, Variant.PRINTED_PROOF)
+_CORRECTED, _PRINTED_PROOF = Variant.CENTER_CORRECTED, Variant.PRINTED_PROOF
 _POLYNOMIAL, _COMPOSITE = ConditionKind.POLYNOMIAL, ConditionKind.COMPOSITE
-_STARLIKE = Family.STARLIKE_ORDER
 
 
-def _stated(class_id: ClassId, t: TargetSpec, fd: regions.FamilyDef) -> bool:
-    """True where the radius condition is established for the class; every
-    other cell is an extrapolation and needs the extended flag. fd is the
-    FamilyDef of the target's family."""
-    return (class_id in fd.classes
-            or (t.family is _STARLIKE and t.alpha == 0.0))
-
-
-def _rl_evaluator(spec: ClassSpec, t: TargetSpec, printed_center: bool):
+def _rl_evaluator(spec: ClassSpec, t: TargetSpec, center_of: Optional[Callable]):
     """h = radius * den - threshold(c) * den on [0, 1), c the disk center or,
-    for the printed reading, 1/(1 - r^2); the disk map is bound once.
+    for a reading, center_of(r); the disk map is bound once.
     h = den * G with den > 0 and exact G = radius - threshold strictly
     increasing on [0, 1): the disk radius grows with r, the threshold falls
     as the center grows from 1 to sqrt2, and from sqrt2 on it is 0. So h
@@ -42,7 +32,7 @@ def _rl_evaluator(spec: ClassSpec, t: TargetSpec, printed_center: bool):
 
     def h(r):
         center, radius, den = disk_at(r)
-        c = 1.0 / (1.0 - r * r) if printed_center else center
+        c = center if center_of is None else center_of(r)
         thr = regions.containment_threshold(t, c)  # never negative for RL
         return radius * den - thr * den
 
@@ -110,10 +100,11 @@ def assemble_condition(spec: ClassSpec, t: TargetSpec,
                        extended: bool = False) -> RadiusCondition:
     """Build the scalar condition h(r) whose smallest zero in (0, 1) is the
     radius for the given (class, target) pair, tagged with the reading it
-    solves (_reading). The printed-proof reading is refused on
-    every cell that does not have it."""
+    solves (_reading): a quartic, or the composite where the threshold is
+    not affine. The printed-proof reading is refused on every cell that
+    does not have it."""
     fd = regions.FAMILIES[t.family]
-    extrapolation = not _stated(spec.class_id, t, fd)
+    extrapolation = not fd.stated(spec.class_id, t)
     if extrapolation and not extended:
         raise UnsupportedCombinationError(
             f"target {t.family.value!r} is not stated for g2; "
@@ -123,21 +114,16 @@ def assemble_condition(spec: ClassSpec, t: TargetSpec,
         raise ParameterError(f"{spec.class_id.value} {t.label()} has no "
                              "printed-proof reading")
 
+    reading = (None if variant is _CORRECTED
+               else fd.readings[spec.class_id][variant])
     affine = fd.threshold
     if affine is None:  # RL: the threshold is not affine in the center
-        printed_center = variant is not _CORRECTED
         return RadiusCondition(_COMPOSITE, variant,
-                               evaluator=_rl_evaluator(spec, t, printed_center),
+                               evaluator=_rl_evaluator(spec, t, reading),
                                extrapolation=extrapolation, proof=_RL_PROOF)
-
     m = spec.coeff_mag
-    if variant is _PRINTED:  # first alternate reading of g1 nephroid
-        coeffs = (-2.0, 2.0 * (3.0 + m), 6.0 * (2.0 + m), 2.0 * (3.0 + m), 8.0)
-    elif variant is _PRINTED_PROOF:
-        # second alternate reading, derived with the uncorrected center
-        coeffs = (-2.0, 2.0 * (3.0 + m), 15.0 + 12.0 * m, 6.0 + 16.0 * m, 5.0)
-    else:
-        coeffs = bounds.quartic(spec.class_id, m, *affine(t))
+    coeffs = (bounds.quartic(spec.class_id, m, *affine(t)) if reading is None
+              else reading(m))
     return RadiusCondition(_POLYNOMIAL, variant, coeffs=coeffs,
                            extrapolation=extrapolation)
 
@@ -342,4 +328,4 @@ def supported_targets(class_id: ClassId, **order: float) -> List[TargetSpec]:
     """Declaration-order target list for a class (12 for g1, 9 for g2), with
     the order parameters given and default_target's for the rest."""
     targets = [default_target(f, **order) for f in Family]
-    return [t for t in targets if _stated(class_id, t, regions.FAMILIES[t.family])]
+    return [t for t in targets if regions.FAMILIES[t.family].stated(class_id, t)]

@@ -14,8 +14,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from radstar import cli
-from radstar.core import CLASSES, ClassId
+from radstar import cli, solver
+from radstar.core import CLASSES, ClassId, NoRootError
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).parents[1] / "src"
@@ -87,6 +87,19 @@ def test_radius_extended_flag(capsys):
     assert code == 0
     rec = json.loads(out)[0]
     assert rec["status"] == "EXTRAPOLATION"
+
+
+def test_no_root_exit_code(monkeypatch, capsys):
+    # no radstar input is known to reach this handler, but the solver can
+    # raise NoRootError, and the CLI reports it with exit code 3
+    def no_root(*args, **kwargs):
+        raise NoRootError("no sign change in (0, 1)", -1.0, 2.0)
+
+    monkeypatch.setattr(solver, "compute_radius", no_root)
+    code, out, err = _main(["radius", "--class", "g1", "--b", "-1",
+                            "--target", "cardioid"], capsys)
+    assert code == 3 and out == ""
+    assert err == "error: no sign change in (0, 1) (h(0)=-1, h(1-)=2)\n"
 
 
 def test_radius_bad_parameters_exit_code(capsys):

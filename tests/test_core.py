@@ -61,6 +61,8 @@ def test_target_spec_validation():
     with pytest.raises(ParameterError):
         TargetSpec(Family.STARLIKE_ORDER, alpha=1.0)
     with pytest.raises(ParameterError):
+        TargetSpec(Family.STRONGLY_STARLIKE)  # missing gamma
+    with pytest.raises(ParameterError):
         TargetSpec(Family.STRONGLY_STARLIKE, gamma=0.0)
     with pytest.raises(ParameterError):
         TargetSpec(Family.LEMNISCATE, alpha=0.5)

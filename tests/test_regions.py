@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radstar import regions
-from radstar.core import Family, ParameterError, TargetSpec, default_target
+from radstar.core import (CLASSES, Family, ParameterError, TargetSpec,
+                          default_target)
 from radstar.regions import (E, SIN1, SQRT2, boundary_parameters,
                              cardioid_quartic, containment_threshold,
                              membership_mask, nephroid_sextic, region_boundary)
@@ -490,3 +491,24 @@ def test_threshold_disks_fit_inside_regions():
                 continue
             pts = c + 0.995 * R * np.exp(1j * th)
             assert np.all(membership_mask(t, pts)), (t.label(), c)
+
+
+def test_readings_are_what_assembly_takes():
+    # the solver calls a reading in place of bounds.quartic (an affine
+    # threshold) or of the disk center (threshold None), and gives every
+    # family without an affine threshold the proof written for RL alone
+    assert [f for f, fd in regions.FAMILIES.items()
+            if fd.threshold is None] == [Family.RATIONAL_RL]
+    for family, fd in regions.FAMILIES.items():
+        for class_id, readings in fd.readings.items():
+            for variant, reading in readings.items():
+                assert callable(reading), (family, class_id, variant)
+                if fd.threshold is None:
+                    c = reading(0.5)
+                    assert isinstance(c, float) and 1.0 <= c < math.inf
+                    continue
+                for m in (0.0, CLASSES[class_id].max_mag):
+                    coeffs = reading(m)
+                    assert len(coeffs) == 5, (family, class_id, variant, m)
+                    assert all(isinstance(x, float) and math.isfinite(x)
+                               for x in coeffs), (family, class_id, variant, m)

@@ -429,11 +429,13 @@ def test_rl_evaluator_matches_disk_and_threshold():
     rs = [k * SCAN_STEP for k in range(1, 1000)] + rng.uniform(0.0, 1.0, 200).tolist()
     specs = [class_from_coeff_mag(class_id, mag) for class_id in ClassId
              for mag in np.linspace(0.0, CLASSES[class_id].max_mag, 41).tolist()]
-    for spec, printed in ((s, p) for s in specs for p in (False, True)):
-        h = solver._rl_evaluator(spec, t, printed)
+    printed_center = regions.FAMILIES[Family.RATIONAL_RL].readings[
+        ClassId.G1][Variant.PRINTED]
+    for spec, center_of in ((s, c) for s in specs for c in (None, printed_center)):
+        h = solver._rl_evaluator(spec, t, center_of)
         for r in rs:
             d = bounds.disk(spec, r)
-            c = 1.0 / (1.0 - r * r) if printed else d.center
+            c = d.center if center_of is None else 1.0 / (1.0 - r * r)
             want = d.radius * d.den - regions.containment_threshold(t, c) * d.den
             assert struct.pack("<d", h(r)) == struct.pack("<d", want), (spec, r)
         for r in (-0.1, 1.0, math.nan):  # refused as bounds.disk refuses it
