@@ -16,9 +16,14 @@ class ExtremalId(enum.Enum):
     F3 = "f3"
 
 
+# The witness of each class for each end of the disk {|w - c| < R} that
+# holds z f'/f on |z| = rho, keyed by the sign of its contact point
+# z = sign * rho: F1 reaches the left end c - R at z = +rho, F2 and F3 the
+# right end c + R at z = -rho. g2 has no witness for the left end.
+WITNESSES = {(ClassId.G1, +1): ExtremalId.F1, (ClassId.G1, -1): ExtremalId.F2,
+             (ClassId.G2, -1): ExtremalId.F3}
 # The class of each witness, whose coefficient 1 + slope * b it takes.
-_CLASS_OF = {ExtremalId.F1: ClassId.G1, ExtremalId.F2: ClassId.G1,
-             ExtremalId.F3: ClassId.G2}
+_CLASS_OF = {eid: class_id for (class_id, _), eid in WITNESSES.items()}
 
 
 def _safe_div(num: complex, den: complex) -> complex:

@@ -1,7 +1,7 @@
 """The twelve target image domains: one FamilyDef per family holds its exact
 membership predicate, its boundary, its disk-containment threshold, its
-boundary-contact (sharpness) data, where its condition is stated and any
-alternate printed readings of that condition."""
+boundary-contact (sharpness) functional, where its condition is stated and
+any alternate printed readings of that condition."""
 
 from __future__ import annotations
 
@@ -12,13 +12,13 @@ from types import MappingProxyType
 from typing import Callable, Dict, FrozenSet, Mapping, NamedTuple, Optional, Tuple
 
 from .core import ClassId, Family, ParameterError, TargetSpec, Variant
-from .extremal import ExtremalId
 
 SQRT2 = math.sqrt(2.0)
 E = math.e
 SIN1 = math.sin(1.0)
 
-# Truncation radius for unbounded boundaries (half-plane, sector, parabola).
+# Truncation radius for unbounded boundaries (half-plane, sector, parabola;
+# see region_boundary).
 _TRUNC = 4.0
 
 # Largest sample count region_boundary and the containment scan accept.
@@ -229,18 +229,6 @@ def _parabola_boundary(n: int) -> np.ndarray:
         n, seg, lambda k: _TRUNC * np.exp(1j * np.linspace(phi0, -phi0, k)))
 
 
-def _lune_boundary(n: int) -> np.ndarray:
-    # Right lobe of {|w^2-1| = 2|w|}: rho^2 = (2+cos 2t) +/- sqrt((2+cos 2t)^2-1),
-    # the two branches meeting at w = +/- i.
-    def branch(sign, k):
-        t = np.linspace(-sign * math.pi / 2.0, sign * math.pi / 2.0, k)
-        a = 2.0 + np.cos(2.0 * t)
-        rho = np.sqrt(a + sign * np.sqrt(np.maximum(a * a - 1.0, 0.0)))
-        return rho * np.exp(1j * t)
-
-    return _two_pieces(n, lambda k: branch(1.0, k), lambda k: branch(-1.0, k))
-
-
 # ---------------------------------------------------------------------------
 # The family table
 
@@ -252,15 +240,15 @@ class FamilyDef(NamedTuple):
     one has boundary(t, n) instead, n closed samples.
     threshold(t) = (p, q): the disk {|w - c| < R}, c >= 1, lies in the domain
     while R <= p + q * c; None where the threshold is not affine in c.
-    contact(t, v) = (functional value, claimed contact value) at v = zf'/f.
-    sharp[class_id] = (witness, sign of the contact point) for the classes
-    whose radius for this domain is sharp.
+    contact(t, v) = (functional value, claimed contact value) at v = zf'/f,
+    for the families whose radius verify checks for sharpness; the witness
+    and its contact point follow from the sign of q (verify.sharpness_check).
     classes: the classes for which the radius condition is stated (all by
     default); stated adds the starlike domain of order 0 for every class.
     readings[class_id]: the alternate printed readings of the class's
     condition, in report order, each mapped to what it changes: the quartic
     at coefficient magnitude m, or where threshold is None the center at r.
-    sharp and readings default to one read-only empty mapping.
+    readings defaults to a read-only empty mapping.
     """
 
     mask: Callable[[TargetSpec, np.ndarray], np.ndarray]
@@ -269,7 +257,6 @@ class FamilyDef(NamedTuple):
     generator: Optional[Callable[[np.ndarray], np.ndarray]] = None
     boundary: Optional[Callable[[TargetSpec, int], np.ndarray]] = None
     contact: Optional[Callable[[TargetSpec, complex], Tuple[float, float]]] = None
-    sharp: Mapping[ClassId, Tuple[ExtremalId, int]] = MappingProxyType({})
     readings: Mapping[ClassId, Mapping[Variant, Callable]] = MappingProxyType({})
 
     def stated(self, class_id: ClassId, t: TargetSpec) -> bool:
@@ -285,7 +272,6 @@ FAMILIES: Dict[Family, FamilyDef] = {
         boundary=lambda t, n: _halfplane_boundary(t.alpha, n),
         threshold=lambda t: (-t.alpha, 1.0),
         contact=lambda t, v: (v.real, t.alpha),
-        sharp={ClassId.G1: (ExtremalId.F1, +1)},
         classes=frozenset({ClassId.G1})),
     Family.LEMNISCATE: FamilyDef(
         # right loop only; |w^2-1| < 1 already excludes the imaginary axis
@@ -293,47 +279,40 @@ FAMILIES: Dict[Family, FamilyDef] = {
         generator=lambda z: np.sqrt(1.0 + z),
         threshold=lambda t: (SQRT2, -1.0),
         contact=lambda t, v: (abs(v * v - 1.0), 1.0),
-        sharp={ClassId.G1: (ExtremalId.F2, -1)},
         classes=frozenset({ClassId.G1})),
     Family.PARABOLIC: FamilyDef(
         mask=lambda t, w: np.abs(w - 1.0) < w.real,
         boundary=lambda t, n: _parabola_boundary(n),
         threshold=lambda t: (-0.5, 1.0),
         contact=lambda t, v: (v.real, abs(v - 1.0)),
-        sharp={ClassId.G1: (ExtremalId.F1, +1)},
         classes=frozenset({ClassId.G1})),
     Family.EXPONENTIAL: FamilyDef(
         mask=lambda t, w: _log_disk(w),
         generator=lambda z: np.exp(z),
         threshold=lambda t: (-1.0 / E, 1.0),
         contact=lambda t, v: (abs(cmath.log(v)), 1.0),
-        sharp={ClassId.G1: (ExtremalId.F1, +1)},
         classes=frozenset({ClassId.G1})),
     Family.CARDIOID: FamilyDef(
         mask=lambda t, w: cardioid_quartic(w.real, w.imag) < 0.0,
         generator=lambda z: (3.0 + 4.0 * z + 2.0 * z * z) / 3.0,
         threshold=lambda t: (-1.0 / 3.0, 1.0),
-        contact=lambda t, v: (abs(v), 1.0 / 3.0),
-        sharp={ClassId.G1: (ExtremalId.F1, +1)}),
+        contact=lambda t, v: (abs(v), 1.0 / 3.0)),
     Family.SINE: FamilyDef(
         mask=_sine_mask,
         generator=lambda z: 1.0 + np.sin(z),
         threshold=lambda t: (SIN1 + 1.0, -1.0),
-        contact=lambda t, v: (abs(v), 1.0 + SIN1),
-        sharp={ClassId.G1: (ExtremalId.F2, -1),
-               ClassId.G2: (ExtremalId.F3, -1)}),
+        contact=lambda t, v: (abs(v), 1.0 + SIN1)),
     Family.LUNE: FamilyDef(
         # the image of z + sqrt(1 + z^2) is the right lobe of |w^2-1| < 2|w|
         # (Raina and Sokol, C. R. Math. Acad. Sci. Paris 353 (2015) 973-978)
         mask=lambda t, w: (np.abs(w * w - 1.0) < 2.0 * np.abs(w)) & (w.real > 0.0),
-        boundary=lambda t, n: _lune_boundary(n),
+        generator=lambda z: z + np.sqrt(1.0 + z * z),
         threshold=lambda t: (1.0 - SQRT2, 1.0)),
     Family.RATIONAL_R: FamilyDef(
         mask=_rational_mask,
         generator=lambda z: 1.0 + (z * (_K + z)) / (_K * (_K - z)),
         threshold=lambda t: (2.0 - 2.0 * SQRT2, 1.0),
-        contact=lambda t, v: (abs(v), 2.0 * (SQRT2 - 1.0)),
-        sharp={ClassId.G1: (ExtremalId.F1, +1)}),
+        contact=lambda t, v: (abs(v), 2.0 * (SQRT2 - 1.0))),
     Family.RATIONAL_RL: FamilyDef(
         mask=_rl_mask,
         generator=_rl_generator,
@@ -348,8 +327,6 @@ FAMILIES: Dict[Family, FamilyDef] = {
         generator=lambda z: 1.0 + z - z**3 / 3.0,
         threshold=lambda t: (5.0 / 3.0, -1.0),
         contact=lambda t, v: (abs(v), 5.0 / 3.0),
-        sharp={ClassId.G1: (ExtremalId.F2, -1),
-               ClassId.G2: (ExtremalId.F3, -1)},
         readings={ClassId.G1: {  # printed; derived with center 1/(1 - r^2)
             Variant.PRINTED: lambda m: (
                 -2.0, 2.0 * (3.0 + m), 6.0 * (2.0 + m), 2.0 * (3.0 + m), 8.0),
@@ -359,9 +336,7 @@ FAMILIES: Dict[Family, FamilyDef] = {
         mask=_sg_mask,
         generator=lambda z: 2.0 / (1.0 + np.exp(-z)),
         threshold=lambda t: (2.0 * E / (1.0 + E), -1.0),
-        contact=lambda t, v: (abs(cmath.log(v / (2.0 - v))), 1.0),
-        sharp={ClassId.G1: (ExtremalId.F2, -1),
-               ClassId.G2: (ExtremalId.F3, -1)}),
+        contact=lambda t, v: (abs(cmath.log(v / (2.0 - v))), 1.0)),
 }
 
 
@@ -379,7 +354,10 @@ def boundary_parameters(t: TargetSpec, n: int) -> np.ndarray:
 
 def region_boundary(t: TargetSpec, n: int) -> np.ndarray:
     """n closed boundary samples of the target domain (first == last).
-    Unbounded boundaries are truncated to |w| <= 4 and closed with a cap."""
+    Unbounded boundaries are cut and closed with a cap: the sector and the
+    parabola at |w| = 4, with an arc of that circle; the half-plane
+    Re w > alpha where its line meets |w| = 4, with a half circle about
+    alpha, which reaches alpha + sqrt(16 - alpha^2) (below 4.88)."""
     if n < 4:
         raise ParameterError(f"n={n} too small for a closed boundary")
     if n > MAX_SAMPLES:

@@ -1,8 +1,9 @@
 """Independent oracles: disk scans against the exact membership predicate of
 each target domain (both the inside and the just-outside scan are gated for
-every family), boundary-contact (sharpness) checks at the designated witness
-functions, and variant adjudication for the two internally inconsistent
-first-class conditions."""
+every family), boundary-contact (sharpness) checks at the witness function
+of each class for the disk end that the family's threshold fixes, and
+variant adjudication for the two internally inconsistent first-class
+conditions."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from typing import List, NamedTuple, Optional, Tuple
 from . import bounds, regions, solver
 from .core import (ClassId, ClassSpec, ParameterError, RadiusResult,
                    TargetSpec, Variant)
-from .extremal import log_deriv
+from .extremal import WITNESSES, log_deriv
 from .regions import MAX_SAMPLES
 
 # Disk samples of each containment scan unless the caller gives a count.
@@ -128,13 +129,20 @@ def containment_scan(spec: ClassSpec, t: TargetSpec, rho: float,
 # Sharpness
 
 def sharpness_check(spec: ClassSpec, t: TargetSpec, rho: float) -> SharpnessReport:
-    """Evaluate the boundary-contact functional of the witness function at
-    the designated point; not-applicable parts return a marker."""
+    """Evaluate the boundary-contact functional of the class's witness at
+    the end of the disk {|w - c| < R} that the family's threshold
+    R = p + q * c puts on the boundary: the left end c - R (-p at q = 1),
+    reached at z = +rho, where q > 0; the right end c + R (p at q = -1),
+    reached at z = -rho, where q < 0. Not applicable where the family has
+    no contact functional, its condition is not stated for the class, or
+    the class has no witness for that end."""
     fd = regions.FAMILIES[t.family]
-    entry = fd.sharp.get(spec.class_id)
-    if entry is None:
+    if fd.contact is None or not fd.stated(spec.class_id, t):
         return SharpnessReport(applicable=False)
-    eid, sign = entry
+    sign = 1 if fd.threshold(t)[1] > 0.0 else -1
+    eid = WITNESSES.get((spec.class_id, sign))
+    if eid is None:
+        return SharpnessReport(applicable=False)
     z = sign * rho
     v = log_deriv(eid, spec.b, z)
     value, target_value = fd.contact(t, v)

@@ -235,6 +235,32 @@ def test_mask_agrees_with_exact_value(fam):
     assert min(checked) > 300 and sum(checked) > len(box) + 0.9 * len(near)
 
 
+@pytest.mark.parametrize("gamma", [0.3, 0.5, 1.0])
+def test_strongly_starlike_mask_agrees_with_exact_value(gamma):
+    # the sector against |arg w| - pi gamma / 2 with mpmath at 50 digits, at
+    # seeded box points and at points 1e-6 in angle either side of each ray;
+    # w = 0, the apex, is outside
+    from mpmath import arg, mpc, mpf, pi, workdps
+    t = TargetSpec(Family.STRONGLY_STARLIKE, gamma=gamma)
+    rng = np.random.default_rng(20261020)
+    box = rng.uniform(-2.0, 4.0, 1500) + 1j * rng.uniform(-4.0, 4.0, 1500)
+    half = 0.5 * math.pi * gamma
+    r = rng.uniform(1e-3, 4.0, 400)
+    near = np.concatenate([r * np.exp(1j * (ray + d))
+                           for ray in (half, -half) for d in (-1e-6, 1e-6)])
+    ws = np.concatenate([box, near, [0.0, 1.0, -1.0]])
+    mask = membership_mask(t, ws)
+    checked = [0, 0]
+    with workdps(50):
+        bound = mpf(gamma) * pi / 2
+        for w, m in zip(ws.tolist(), mask.tolist()):
+            exact = math.inf if w == 0 else abs(arg(mpc(w.real, w.imag))) - bound
+            if abs(exact) >= 1e-9:
+                assert m == (exact < 0), (gamma, w)
+                checked[m] += 1
+    assert min(checked) > 300 and sum(checked) > len(box) + 0.9 * len(near)
+
+
 # 0, 2, 1, -0.3 and 2.5 on the real axis, -2.4, where |beta| of the sine
 # mask rounds above 1, and 1e-6 either side of the real-axis ends of the
 # sine domain, 1 -/+ sin 1, and of the left end 2(sqrt2 - 1) of the
@@ -337,7 +363,7 @@ def test_algebraic_generator_consistency():
     rng = np.random.default_rng(20240824)
     for fam in (Family.CARDIOID, Family.NEPHROID, Family.LEMNISCATE,
                 Family.EXPONENTIAL, Family.SIGMOID_SG, Family.SINE,
-                Family.RATIONAL_R, Family.RATIONAL_RL):
+                Family.RATIONAL_R, Family.RATIONAL_RL, Family.LUNE):
         t = default_target(fam)
         gen = regions.FAMILIES[fam].generator
         boundary = gen(regions._anchored_circle(4096))

@@ -154,10 +154,9 @@ def test_replace_builds_through_new():
 def test_family_defaults_are_read_only():
     fd = FamilyDef(_mask, _threshold)
     assert fd.classes == frozenset(ClassId)
-    for mapping in (fd.sharp, fd.readings):
-        assert isinstance(mapping, MappingProxyType) and not mapping
-        with pytest.raises(TypeError):
-            mapping[ClassId.G1] = ()
+    assert isinstance(fd.readings, MappingProxyType) and not fd.readings
+    with pytest.raises(TypeError):
+        fd.readings[ClassId.G1] = ()
 
 
 def test_reports_of_one_cell_compare_equal():

@@ -7,8 +7,8 @@ import pytest
 from radstar import bounds, cli, regions, solver, verify
 from radstar.core import (ClassId, Family, ParameterError, TargetSpec, Variant,
                           default_target, make_class)
-from radstar.verify import (adjudicate_variant, containment_scan,
-                            sharpness_check, verify_cell)
+from radstar.verify import (SharpnessReport, adjudicate_variant,
+                            containment_scan, sharpness_check, verify_cell)
 
 
 def test_scan_validates_inputs():
@@ -133,16 +133,51 @@ def test_rl_threshold_exact_for_predicate():
         assert thr - 1e-12 <= dmin <= thr + 1e-4, c
 
 
+# The witness and the sign of its contact point for each (family, class)
+# that the sharpness check covers, written out by hand; every other pair,
+# extrapolated g2 cells included, is not applicable
+_SHARP = {
+    (Family.STARLIKE_ORDER, ClassId.G1): ("f1", +1),
+    (Family.LEMNISCATE, ClassId.G1): ("f2", -1),
+    (Family.PARABOLIC, ClassId.G1): ("f1", +1),
+    (Family.EXPONENTIAL, ClassId.G1): ("f1", +1),
+    (Family.CARDIOID, ClassId.G1): ("f1", +1),
+    (Family.SINE, ClassId.G1): ("f2", -1),
+    (Family.SINE, ClassId.G2): ("f3", -1),
+    (Family.RATIONAL_R, ClassId.G1): ("f1", +1),
+    (Family.NEPHROID, ClassId.G1): ("f2", -1),
+    (Family.NEPHROID, ClassId.G2): ("f3", -1),
+    (Family.SIGMOID_SG, ClassId.G1): ("f2", -1),
+    (Family.SIGMOID_SG, ClassId.G2): ("f3", -1),
+}
+
+
 def test_sharpness_applicable_map():
-    s1 = make_class(ClassId.G1, -1.0)
-    assert sharpness_check(s1, default_target(Family.LUNE), 0.3).applicable is False
-    assert sharpness_check(s1, default_target(Family.RATIONAL_RL), 0.3).applicable is False
-    assert sharpness_check(s1, TargetSpec(Family.STRONGLY_STARLIKE, gamma=0.5),
-                           0.3).applicable is False
-    assert sharpness_check(s1, default_target(Family.CARDIOID), 0.3).applicable
-    s2 = make_class(ClassId.G2, -1.0)
-    assert sharpness_check(s2, default_target(Family.CARDIOID), 0.3).applicable is False
-    assert sharpness_check(s2, default_target(Family.SINE), 0.3).applicable
+    # the witness derived from the class and the sign of the threshold's
+    # slope q is the table above, for all 12 families and both classes; the
+    # lune (q = 1) and the sector, even at gamma = 1 where q = 1.0, have no
+    # contact functional and stay not applicable
+    targets = ([TargetSpec(Family.STARLIKE_ORDER, alpha=a) for a in (0.0, 0.3)]
+               + [TargetSpec(Family.STRONGLY_STARLIKE, gamma=g)
+                  for g in (0.5, 1.0)]
+               + [default_target(f) for f in Family
+                  if f not in (Family.STARLIKE_ORDER, Family.STRONGLY_STARLIKE)])
+    assert regions.FAMILIES[Family.LUNE].threshold(
+        default_target(Family.LUNE))[1] == 1.0
+    assert regions.FAMILIES[Family.STRONGLY_STARLIKE].threshold(
+        TargetSpec(Family.STRONGLY_STARLIKE, gamma=1.0))[1] == 1.0
+    for class_id in ClassId:
+        spec = make_class(class_id, -1.0)
+        for t in targets:
+            rep = sharpness_check(spec, t, 0.3)
+            entry = _SHARP.get((t.family, class_id))
+            if entry is None:
+                assert rep == SharpnessReport(False), (class_id, t.label())
+                continue
+            assert rep.applicable, (class_id, t.label())
+            assert (rep.extremal, math.copysign(1.0, rep.point)) == entry, \
+                (class_id, t.label())
+            assert abs(rep.point) == 0.3
 
 
 def test_sharpness_contact_at_extreme_b():
