@@ -83,12 +83,15 @@ _POLYNOMIAL = ConditionKind.POLYNOMIAL
 
 class ClassDef(NamedTuple):
     """Every per-class fact: the slope of the coefficient 1 + slope * b,
-    whose magnitude is all a radius depends on, and the interval
-    [b_lo, b_hi] of b on which the radius conditions hold."""
+    whose magnitude is all a radius depends on, the interval [b_lo, b_hi]
+    of b on which the radius conditions hold, and the power e, in which
+    every per-class formula is written once: (1 + z)^e f(z)/z has positive
+    real part. A field, as it is read once per cell."""
 
     slope: int
     b_lo: float
     b_hi: float
+    power: float
 
     @property
     def max_mag(self) -> float:
@@ -97,8 +100,10 @@ class ClassDef(NamedTuple):
 
 
 # g1: (1+z)^2 f/z has positive real part, a2 = 4b; g2: (1+z) f/z, a2 = 3b.
-CLASSES = {ClassId.G1: ClassDef(2, -1.0, 0.0),
-           ClassId.G2: ClassDef(3, -1.0, 1.0 / 3.0)}
+# Its first coefficient e (1 + slope * b) is at most 2 in magnitude
+# (Caratheodory), which fixes the interval: power * max_mag = 2.
+CLASSES = {ClassId.G1: ClassDef(2, -1.0, 0.0, 2.0),
+           ClassId.G2: ClassDef(3, -1.0, 1.0 / 3.0, 1.0)}
 
 
 def coefficient(class_id: ClassId, b):
@@ -184,8 +189,8 @@ class TargetSpec(_TargetFields):
 
 class DiskSpec(NamedTuple):
     """Real center and radius of the disk containing zf'/f on |z| = r, and
-    the denominator (1 - r^2)(r^2 + 2mr + 1) (g1) or (1 - r^2)(r^2 + mr + 1)
-    (g2) of the radius, by which the RL condition clears it."""
+    the denominator (1 - r^2)(r^2 + e m r + 1) of the radius, e the power
+    of the class, by which the RL condition clears it."""
 
     center: float
     radius: float

@@ -1,11 +1,11 @@
 """Extremal functions for the two classes, through their factored
-logarithmic derivatives."""
+logarithmic derivatives, each written once in the power e of its class."""
 
 from __future__ import annotations
 
 import enum
 
-from .core import ClassId, EvaluationError, coefficient
+from .core import CLASSES, ClassId, EvaluationError, coefficient
 
 _POLE_EPS = 1e-300
 
@@ -35,7 +35,8 @@ def _safe_div(num: complex, den: complex) -> complex:
 def log_deriv(eid: ExtremalId, b: float, z: complex) -> complex:
     """z f'(z)/f(z) from the factored rational form (no numerical
     differentiation); value 1 at z = 0."""
-    B = coefficient(_CLASS_OF[eid], b)
+    class_id = _CLASS_OF[eid]
+    B = coefficient(class_id, b)
     z = complex(z)
     if z == 0.0:
         return complex(1.0)
@@ -46,16 +47,11 @@ def log_deriv(eid: ExtremalId, b: float, z: complex) -> complex:
                 - _safe_div(z, 1.0 + z)
                 - _safe_div(-2.0 * B * z + 2.0 * z * z,
                             1.0 - 2.0 * B * z + z * z))
-    if eid is ExtremalId.F2:
-        # f2 = z (1 + 2Bz + z^2) / ((1+z)^3 (1-z))
-        return (1.0
-                + _safe_div(2.0 * B * z + 2.0 * z * z,
-                            1.0 + 2.0 * B * z + z * z)
-                - 3.0 * _safe_div(z, 1.0 + z)
-                + _safe_div(z, 1.0 - z))
-    # f3 = z (1 + Bz + z^2) / ((1+z)^2 (1-z))
+    # the right-end witness of the class of power e (F2 for g1, F3 for g2):
+    # f = z (1 + eBz + z^2) / ((1+z)^(e+1) (1-z))
+    e = CLASSES[class_id].power
+    eB = e * B
     return (1.0
-            + _safe_div(B * z + 2.0 * z * z, 1.0 + B * z + z * z)
-            - 2.0 * _safe_div(z, 1.0 + z)
+            + _safe_div(eB * z + 2.0 * z * z, 1.0 + eB * z + z * z)
+            - (e + 1.0) * _safe_div(z, 1.0 + z)
             + _safe_div(z, 1.0 - z))
-

@@ -62,9 +62,10 @@ class _RLProof(_Proof):
       18u / e_min + 0.3u of T, T <= 0.286;
     - threshold * den is then within (18u / e_min + 2.3u) D, and the last
       subtraction adds u (N + T D): E = u (10 N + (18 / e_min + 3) D).
-    For m <= 2 (both classes), N <= 4x(1 + x)^2 and D <= (1 + x)^2 at
-    x = hi. D is (1 - x^2) X with X = x^2 + 2mx + 1 (or x^2 + mx + 1) at
-    least 1 and growing at most 2(1 + hi) per unit of x, so
+    With e the power of the class, e m <= 2 (core.CLASSES), so
+    N <= 4x(1 + x)^2 and D <= (1 + x)^2 at x = hi. D is (1 - x^2) X with
+    X = x^2 + e m x + 1 at least 1 and growing at most 2(1 + hi) per unit
+    of x, so
     rho = (1 - lo^2)/(1 - hi^2) (1 + 2(hi - lo)(1 + hi)). Each bound is
     raised by _SLACK, which covers the rounding of its own evaluation."""
 
@@ -122,8 +123,11 @@ def assemble_condition(spec: ClassSpec, t: TargetSpec,
                                evaluator=_rl_evaluator(spec, t, reading),
                                extrapolation=extrapolation, proof=_RL_PROOF)
     m = spec.coeff_mag
-    coeffs = (bounds.quartic(spec.class_id, m, *affine(t)) if reading is None
-              else reading(m))
+    if reading is None:
+        p, q = affine(t)  # unpacked: a star call costs more
+        coeffs = bounds.quartic(spec.class_id, m, p, q)
+    else:
+        coeffs = reading(m)
     return RadiusCondition(_POLYNOMIAL, variant, coeffs=coeffs,
                            extrapolation=extrapolation)
 

@@ -492,6 +492,25 @@ def test_library_rl_root_window_proven():
     assert n == 41 * 3
 
 
+def test_rl_step_bound_rho_bounds_the_disk_denominator():
+    # rho of the RL proof bounds den_max / den_min over the root's grid
+    # step, den the denominator (1 - x^2)(x^2 + e m x + 1) of the disk that
+    # the RL condition clears, on every library RL cell; rho = 1 would fail
+    # on each of them
+    worst = 0.0
+    for (class_id, mag, t, policy), cond in _library_conditions(
+            {Family.RATIONAL_RL}):
+        k = first_stop(cond)
+        lo, hi = (k - 1) * SCAN_STEP, k * SCAN_STEP
+        rho = cond.proof.step_bound(cond, lo, hi)[1]
+        disk_at = bounds.disk_map(class_from_coeff_mag(class_id, mag))
+        dens = [disk_at(x)[2] for x in np.linspace(lo, hi, 201).tolist()]
+        ratio = max(dens) / min(dens)
+        assert 1.0 < ratio <= rho, (class_id, mag, policy, ratio, rho)
+        worst = max(worst, ratio / rho)
+    assert worst > 0.99  # the bound is nearly attained
+
+
 def test_rl_root_window_refused():
     # NaN values at the ends of the step or inside it, and a step on which
     # the center can reach sqrt2, give the whole step

@@ -38,7 +38,7 @@ _REPORT = VerificationReport(ClassId.G1, -1.0, 1.0, _TARGET,
 
 # (type, positional arguments, keyword arguments) for each value type
 CASES = [
-    (ClassDef, (2, -1.0, 0.0), {}),
+    (ClassDef, (2, -1.0, 0.0, 2.0), {}),
     (ClassSpec, (ClassId.G1, -1.0, 1.0), {}),
     (TargetSpec, (Family.STARLIKE_ORDER,), {"alpha": 0.25}),
     (DiskSpec, (1.5, 0.5, 0.75), {}),

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from radstar import bounds, cli, regions, solver, verify
-from radstar.core import (ClassId, Family, ParameterError, TargetSpec, Variant,
-                          default_target, make_class)
+from radstar.core import (CLASSES, ClassId, Family, ParameterError,
+                          TargetSpec, Variant, default_target, make_class)
 from radstar.verify import (SharpnessReport, adjudicate_variant,
                             containment_scan, sharpness_check, verify_cell)
 
@@ -222,6 +222,29 @@ def test_g1_nephroid_contact_tight_on_negative_half():
         spec = make_class(ClassId.G1, b)
         rep = sharpness_check(spec, t, solver.compute_radius(spec, t).rho)
         assert rep.ok and abs(rep.value - rep.target_value) < 1e-11, b
+
+
+@pytest.mark.parametrize("class_id", list(ClassId))
+def test_sharp_exactly_where_the_coefficient_is_not_positive(class_id):
+    # the disk is attained where 1 + slope * b <= 0, so there each witness
+    # touches the boundary at the radius; where it is positive the radius is
+    # that of the mirrored b and no witness reaches the boundary. This
+    # covers the right-end witness (f2, f3) of both classes, which is one
+    # formula in the power of the class
+    cd = CLASSES[class_id]
+    checked = set()
+    for b in np.linspace(cd.b_lo, cd.b_hi, 41).tolist():
+        coeff = 1.0 + cd.slope * b
+        if abs(coeff) < 0.05:
+            continue
+        spec = make_class(class_id, b)
+        for t in solver.supported_targets(class_id):
+            rep = sharpness_check(spec, t, solver.compute_radius(spec, t).rho)
+            if rep.applicable:
+                assert rep.ok is (coeff <= 0.0), (b, t.label())
+                checked.add((rep.extremal, coeff <= 0.0))
+    witnesses = ("f1", "f2") if class_id is ClassId.G1 else ("f3",)
+    assert checked == {(eid, ok) for eid in witnesses for ok in (True, False)}
 
 
 def test_verify_cell_report_shape():
