@@ -1,5 +1,6 @@
 """Command-line front end: single radii, sweep tables, verification suites,
-boundary curves and variant adjudication, with CSV/JSON output."""
+boundary curves and variant adjudication. The one module that writes an
+output layout: every command's CSV and JSON records are built here."""
 
 from __future__ import annotations
 
@@ -38,8 +39,7 @@ def _num(x):
 
 
 def _json(obj, out) -> None:
-    json.dump(obj, out, indent=2)
-    out.write("\n")
+    out.write(json.dumps(obj, indent=2) + "\n")
 
 
 def _csv(header: List[str], rows, out) -> None:
@@ -63,6 +63,68 @@ def _record(spec, t: TargetSpec, variant: Variant,
     rho, residual = (None, None) if res is None else (res.rho, res.residual)
     return [spec.class_id.value, spec.b, spec.coeff_mag, t.label(), t.alpha,
             t.gamma, variant.value, rho, residual, status]
+
+
+def _cstr(w: Optional[complex]) -> Optional[str]:
+    """A scan's witness point, each part to 15 significant digits."""
+    return None if w is None else f"{w.real:.15g}{w.imag:+.15g}j"
+
+
+def _verify_record(rep: verify.VerificationReport) -> dict:
+    """The verify record of one cell."""
+    spec, t, sc, sh = rep.spec, rep.target, rep.scan, rep.sharpness
+    return {
+        "class": spec.class_id.value,
+        "b": spec.b,
+        "coeff_mag": spec.coeff_mag,
+        "target": t.label(),
+        "alpha": t.alpha,
+        "gamma": t.gamma,
+        "variant": rep.variant.value,
+        "rho": rep.rho_used,
+        "inside_scan": {
+            "pass": sc.inside_pass,
+            "r": sc.r_inside,
+            "witness": _cstr(sc.inside_witness),
+        },
+        "just_outside_scan": {
+            "pass": sc.outside_pass,
+            "gated": True,
+            "r": sc.r_outside,
+            "witness": _cstr(sc.outside_witness),
+        },
+        "sharpness": {
+            "applicable": sh.applicable,
+            "extremal": sh.extremal,
+            "point": sh.point,
+            "value": sh.value,
+            "target": sh.target_value,
+            "ok": sh.ok,
+        },
+    }
+
+
+def _adjudicate_record(spec, t: TargetSpec, reports) -> dict:
+    """The adjudicate record of one cell: an outcome per reading, and the
+    readings whose scans pass."""
+    return {
+        "class": spec.class_id.value,
+        "b": spec.b,
+        "target": t.label(),
+        "outcomes": [
+            {
+                "variant": o.variant.value,
+                "rho": o.rho_used,
+                "inside_scan_pass": o.scan.inside_pass,
+                "just_outside_scan_pass": o.scan.outside_pass,
+                "sharpness_value": o.sharpness.value,
+                "consistent": o.scan.passed,
+            }
+            for o in reports
+        ],
+        "consistent_variants": [o.variant.value for o in reports
+                                if o.scan.passed],
+    }
 
 
 def _emit_records(rows: List[list], fmt: str, out) -> None:
@@ -174,7 +236,7 @@ def cmd_verify(args, out) -> int:
     spec = make_class(class_id, args.b)
     reports = [verify.verify_cell(spec, t, tol=args.tol, n_samples=args.n_samples)
                for t in _targets(args, class_id)]
-    _json([rep.to_dict() for rep in reports], out)
+    _json([_verify_record(rep) for rep in reports], out)
     at_b_lo = spec.b == CLASSES[class_id].b_lo
     failed = any(not rep.scan.passed or (at_b_lo and rep.sharpness.applicable
                                          and not rep.sharpness.ok)
@@ -204,8 +266,8 @@ def cmd_sharpness(args, out) -> int:
 
 def cmd_adjudicate(args, out) -> int:
     spec = make_class(ClassId(args.klass), args.b)
-    rep = verify.adjudicate_variant(spec, _parse_target(args.target))
-    _json(rep.to_dict(), out)
+    t = _parse_target(args.target)
+    _json(_adjudicate_record(spec, t, verify.adjudicate_variant(spec, t)), out)
     return 0
 
 

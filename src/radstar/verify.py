@@ -7,11 +7,10 @@ conditions."""
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from . import bounds, regions, solver
-from .core import (ClassId, ClassSpec, ParameterError, RadiusResult,
-                   TargetSpec, Variant)
+from .core import ClassSpec, ParameterError, RadiusResult, TargetSpec, Variant
 from .extremal import WITNESSES, log_deriv
 from .regions import MAX_SAMPLES
 
@@ -45,52 +44,12 @@ class SharpnessReport(NamedTuple):
 
 
 class VerificationReport(NamedTuple):
-    class_id: ClassId
-    b: float
-    coeff_mag: float
+    spec: ClassSpec
     target: TargetSpec
     variant: Variant
     rho_used: float
     scan: ScanReport
     sharpness: SharpnessReport
-
-    def to_dict(self) -> dict:
-        sc, sh = self.scan, self.sharpness
-        return {
-            "class": self.class_id.value,
-            "b": self.b,
-            "coeff_mag": self.coeff_mag,
-            "target": self.target.label(),
-            "alpha": self.target.alpha,
-            "gamma": self.target.gamma,
-            "variant": self.variant.value,
-            "rho": self.rho_used,
-            "inside_scan": {
-                "pass": sc.inside_pass,
-                "r": sc.r_inside,
-                "witness": _cstr(sc.inside_witness),
-            },
-            "just_outside_scan": {
-                "pass": sc.outside_pass,
-                "gated": True,
-                "r": sc.r_outside,
-                "witness": _cstr(sc.outside_witness),
-            },
-            "sharpness": {
-                "applicable": sh.applicable,
-                "extremal": sh.extremal,
-                "point": sh.point,
-                "value": sh.value,
-                "target": sh.target_value,
-                "ok": sh.ok,
-            },
-        }
-
-
-def _cstr(w: Optional[complex]) -> Optional[str]:
-    if w is None:
-        return None
-    return f"{w.real:.15g}{w.imag:+.15g}j"
 
 
 def containment_scan(spec: ClassSpec, t: TargetSpec, rho: float,
@@ -155,8 +114,7 @@ def sharpness_check(spec: ClassSpec, t: TargetSpec, rho: float) -> SharpnessRepo
 def _report(spec: ClassSpec, t: TargetSpec, res: RadiusResult,
             n_samples: int) -> VerificationReport:
     return VerificationReport(
-        class_id=spec.class_id, b=spec.b, coeff_mag=spec.coeff_mag, target=t,
-        variant=res.variant, rho_used=res.rho,
+        spec=spec, target=t, variant=res.variant, rho_used=res.rho,
         scan=containment_scan(spec, t, res.rho, n_samples),
         sharpness=sharpness_check(spec, t, res.rho))
 
@@ -170,44 +128,15 @@ def verify_cell(spec: ClassSpec, t: TargetSpec,
 # ---------------------------------------------------------------------------
 # Variant adjudication
 
-class AdjudicationReport(NamedTuple):
-    class_id: ClassId
-    b: float
-    target: TargetSpec
-    outcomes: Tuple[VerificationReport, ...]  # corrected reading first
-
-    @property
-    def consistent_variants(self) -> List[Variant]:
-        return [o.variant for o in self.outcomes if o.scan.passed]
-
-    def to_dict(self) -> dict:
-        return {
-            "class": self.class_id.value,
-            "b": self.b,
-            "target": self.target.label(),
-            "outcomes": [
-                {
-                    "variant": o.variant.value,
-                    "rho": o.rho_used,
-                    "inside_scan_pass": o.scan.inside_pass,
-                    "just_outside_scan_pass": o.scan.outside_pass,
-                    "sharpness_value": o.sharpness.value,
-                    "consistent": o.scan.passed,
-                }
-                for o in self.outcomes
-            ],
-            "consistent_variants": [v.value for v in self.consistent_variants],
-        }
-
-
-def adjudicate_variant(spec: ClassSpec, t: TargetSpec) -> AdjudicationReport:
-    """Compute the radius under the corrected reading and every alternate
-    reading of a flagged condition, and report which readings the exact
-    region supports."""
+def adjudicate_variant(spec: ClassSpec,
+                       t: TargetSpec) -> Tuple[VerificationReport, ...]:
+    """Verify the radius under the corrected reading and under every
+    alternate reading of a flagged condition: one report per reading, the
+    corrected reading first, then the family's readings in order."""
     readings = regions.FAMILIES[t.family].readings.get(spec.class_id)
     if not readings:
         raise ParameterError(f"{spec.class_id.value} {t.label()} has no "
                              "alternate reading to adjudicate")
-    return AdjudicationReport(spec.class_id, spec.b, t, tuple(
+    return tuple(
         _report(spec, t, solver.compute_radius(spec, t, var), N_SAMPLES)
-        for var in (Variant.CENTER_CORRECTED, *readings)))
+        for var in (Variant.CENTER_CORRECTED, *readings))

@@ -479,6 +479,39 @@ def test_scan_output_byte_identical(argvs, digest, capsys):
     assert h.hexdigest() == digest
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} in strict JSON")
+
+
+def _json_commands():
+    # verify, sharpness, and the JSON table at the cell's magnitude with and
+    # without --extended, for each class at both ends of b, the midpoint and
+    # the b of coefficient 0; adjudicate on both flagged g1 cells. Each
+    # command once: g1's midpoint is its b of coefficient 0, and both ends
+    # of b have one magnitude
+    argvs = []
+    for class_id, d in CLASSES.items():
+        c = ["--class", class_id.value]
+        for b in (d.b_lo, (d.b_lo + d.b_hi) / 2, d.b_hi, -1.0 / d.slope):
+            at_b = c + ["--b", repr(b)]
+            mag = ["--mag-grid", repr(abs(1 + d.slope * b)), "--format", "json"]
+            argvs += [["verify"] + at_b, ["sharpness"] + at_b,
+                      ["table"] + c + mag, ["table"] + c + mag + ["--extended"]]
+            if class_id is ClassId.G1:
+                argvs += [["adjudicate"] + at_b + ["--target", target]
+                          for target in ("nephroid", "rl")]
+    return [list(a) for a in dict.fromkeys(map(tuple, argvs))]
+
+
+@pytest.mark.parametrize("argv", _json_commands(), ids=" ".join)
+def test_json_output_is_strict(argv, capsys):
+    # a successful command prints no NaN or Infinity, which json.dumps
+    # writes and a strict JSON reader refuses
+    code, out, err = _main(argv, capsys)
+    assert code == 0 and err == ""
+    json.loads(out, parse_constant=_refuse_constant)
+
+
 _ENDS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
 _SUBNORMAL = 5e-324
 

@@ -12,8 +12,8 @@ from radstar.core import (ClassDef, ClassId, ClassSpec, ConditionKind, DiskSpec,
                           TargetSpec, Variant, default_target, make_class)
 from radstar.regions import FamilyDef
 from radstar.solver import TableCell, assemble_condition, smallest_root_in_01
-from radstar.verify import (AdjudicationReport, ScanReport, SharpnessReport,
-                            VerificationReport, verify_cell)
+from radstar.verify import (ScanReport, SharpnessReport, VerificationReport,
+                            verify_cell)
 
 
 def _mask(t, w):
@@ -33,8 +33,8 @@ _TARGET = TargetSpec(Family.STARLIKE_ORDER, alpha=0.25)
 _RESULT = RadiusResult(0.5, 0.0, (0.5, 0.5), Variant.CENTER_CORRECTED, 30)
 _SCAN = ScanReport(True, None, True, 1.5 + 0.5j, 0.49, 0.51)
 _SHARP = SharpnessReport(True, "F1", 0.5, 0.25, 0.25, True, 1e-6)
-_REPORT = VerificationReport(ClassId.G1, -1.0, 1.0, _TARGET,
-                             Variant.CENTER_CORRECTED, 0.5, _SCAN, _SHARP)
+_REPORT = VerificationReport(_SPEC, _TARGET, Variant.CENTER_CORRECTED, 0.5,
+                             _SCAN, _SHARP)
 
 # (type, positional arguments, keyword arguments) for each value type
 CASES = [
@@ -50,7 +50,6 @@ CASES = [
     (ScanReport, (True, None, True, 1.5 + 0.5j, 0.49, 0.51), {}),
     (SharpnessReport, (False,), {}),
     (VerificationReport, tuple(_REPORT), {}),
-    (AdjudicationReport, (ClassId.G1, -1.0, _TARGET, (_REPORT, _REPORT)), {}),
 ]
 
 _IDS = [cls.__name__ for cls, _, _ in CASES]

@@ -250,7 +250,8 @@ def test_sharp_exactly_where_the_coefficient_is_not_positive(class_id):
 def test_verify_cell_report_shape():
     spec = make_class(ClassId.G1, -1.0)
     rep = verify_cell(spec, default_target(Family.CARDIOID))
-    d = rep.to_dict()
+    assert rep.spec is spec
+    d = cli._verify_record(rep)
     assert d["class"] == "g1" and d["target"] == "cardioid"
     assert d["inside_scan"]["pass"] is True
     assert d["sharpness"]["ok"] is True
@@ -260,8 +261,8 @@ def test_verify_cell_report_shape():
 def test_verify_cell_deterministic():
     spec = make_class(ClassId.G2, -1.0)
     t = default_target(Family.NEPHROID)
-    d1 = verify_cell(spec, t).to_dict()
-    d2 = verify_cell(spec, t).to_dict()
+    d1 = cli._verify_record(verify_cell(spec, t))
+    d2 = cli._verify_record(verify_cell(spec, t))
     assert json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True)
 
 
@@ -276,10 +277,11 @@ def test_adjudication_restricted_to_flagged_cells():
 
 def test_adjudication_nephroid_supports_corrected_only():
     spec = make_class(ClassId.G1, -1.0)
-    rep = adjudicate_variant(spec, default_target(Family.NEPHROID))
-    assert len(rep.outcomes) == 3
-    assert rep.consistent_variants == [Variant.CENTER_CORRECTED]
-    by_variant = {o.variant: o.scan for o in rep.outcomes}
+    reps = adjudicate_variant(spec, default_target(Family.NEPHROID))
+    assert len(reps) == 3
+    assert [o.variant for o in reps if o.scan.passed] == \
+        [Variant.CENTER_CORRECTED]
+    by_variant = {o.variant: o.scan for o in reps}
     assert by_variant[Variant.CENTER_CORRECTED].passed
     # both printed readings overshoot: the disk already escapes below their root
     assert not by_variant[Variant.PRINTED].inside_pass
@@ -288,9 +290,22 @@ def test_adjudication_nephroid_supports_corrected_only():
 
 def test_adjudication_rl_variants():
     spec = make_class(ClassId.G1, -1.0)
-    rep = adjudicate_variant(spec, default_target(Family.RATIONAL_RL))
-    assert len(rep.outcomes) == 2
-    by_variant = {o.variant: o for o in rep.outcomes}
+    reps = adjudicate_variant(spec, default_target(Family.RATIONAL_RL))
+    assert len(reps) == 2
+    by_variant = {o.variant: o for o in reps}
     assert by_variant[Variant.CENTER_CORRECTED].scan.inside_pass
     assert by_variant[Variant.PRINTED].rho_used != \
         by_variant[Variant.CENTER_CORRECTED].rho_used
+
+
+@pytest.mark.parametrize("family", [Family.NEPHROID, Family.RATIONAL_RL],
+                         ids=lambda f: f.value)
+@pytest.mark.parametrize("b", [-1.0, -0.75, -0.5, -0.25, 0.0])
+def test_adjudication_corrected_outcome_is_the_verify_report(family, b):
+    # adjudicate's first report is verify's report of the same cell, and the
+    # later reports follow the family's alternate readings in order
+    spec, t = make_class(ClassId.G1, b), default_target(family)
+    reps = adjudicate_variant(spec, t)
+    assert reps[0] == verify_cell(spec, t)
+    assert [o.variant for o in reps[1:]] == \
+        list(regions.FAMILIES[family].readings[ClassId.G1])
