@@ -5,7 +5,6 @@ output layout: every command's CSV and JSON records are built here."""
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import re
 import sys
@@ -43,9 +42,9 @@ def _json(obj, out) -> None:
 
 
 def _csv(header: List[str], rows, out) -> None:
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(header)
-    w.writerows([_fmt(x) for x in row] for row in rows)
+    # no field can hold a comma, a quote or a line break, so none is quoted
+    out.write(",".join(header) + "\n")
+    out.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
 
 
 def _parse_target(name: str, **order: float) -> TargetSpec:
@@ -273,8 +272,7 @@ def cmd_adjudicate(args, out) -> int:
 
 def cmd_boundary(args, out) -> int:
     t, = _targets(args)
-    pts = regions.region_boundary(t, args.n)
-    th = regions.boundary_parameters(t, args.n)
+    th, pts = regions.region_boundary(t, args.n)
     _csv(["theta", "re", "im"],
          zip(th.tolist(), pts.real.tolist(), pts.imag.tolist()), out)
     return 0

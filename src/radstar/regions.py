@@ -160,14 +160,14 @@ def _anchored_angles(n: int) -> np.ndarray:
                        lambda k: np.linspace(math.pi, 2.0 * math.pi, k))
 
 
-def _anchored_circle(n: int) -> np.ndarray:
-    """n unit-circle samples including +1 and -1, closed (first == last)."""
-    pts = np.exp(1j * _anchored_angles(n))
+def _anchored_circle(theta: np.ndarray) -> np.ndarray:
+    """The unit-circle points at the angles theta, +1 and -1 exact."""
+    pts = np.exp(1j * theta)
     # snap the endpoints and the half-turn anchor so branch-cut generators
     # (square roots) do not amplify the 1e-16 angle rounding
     pts[0] = 1.0
     pts[-1] = 1.0
-    pts[(n - 1) // 2] = -1.0
+    pts[(len(theta) - 1) // 2] = -1.0
     return pts
 
 
@@ -345,27 +345,24 @@ def membership_mask(t: TargetSpec, ws) -> np.ndarray:
     return FAMILIES[t.family].mask(t, np.asarray(ws, dtype=complex))
 
 
-def boundary_parameters(t: TargetSpec, n: int) -> np.ndarray:
-    """Curve parameter in [0, 2*pi] for each sample of region_boundary."""
-    if FAMILIES[t.family].generator is not None:
-        return _anchored_angles(n)
-    return np.linspace(0.0, 2.0 * math.pi, n)
-
-
-def region_boundary(t: TargetSpec, n: int) -> np.ndarray:
-    """n closed boundary samples of the target domain (first == last).
-    Unbounded boundaries are cut and closed with a cap: the sector and the
-    parabola at |w| = 4, with an arc of that circle; the half-plane
-    Re w > alpha where its line meets |w| = 4, with a half circle about
-    alpha, which reaches alpha + sqrt(16 - alpha^2) (below 4.88)."""
+def region_boundary(t: TargetSpec, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(theta, w): n samples w of the target domain's boundary, the last
+    the first again (to about 1e-15 on the half-plane and the parabola),
+    each with its theta in [0, 2*pi]: for a generator family the anchored
+    angle, w = generator(exp(i theta)); for the half-plane, the parabola
+    and the sector n evenly spaced values that index the samples, not a
+    curve parameter. Unbounded boundaries are cut at |w| = 4 and closed:
+    the sector and the parabola by an arc of that circle, the half-plane
+    by a half circle about alpha, out to alpha + sqrt(16 - alpha^2) < 4.88."""
     if n < 4:
         raise ParameterError(f"n={n} too small for a closed boundary")
     if n > MAX_SAMPLES:
         raise ParameterError(f"n={n} above the limit of {MAX_SAMPLES} samples")
     fd = FAMILIES[t.family]
     if fd.generator is not None:
-        return fd.generator(_anchored_circle(n))
-    return fd.boundary(t, n)
+        theta = _anchored_angles(n)
+        return theta, fd.generator(_anchored_circle(theta))
+    return np.linspace(0.0, 2.0 * math.pi, n), fd.boundary(t, n)
 
 
 def containment_threshold(t: TargetSpec, c: float) -> float:

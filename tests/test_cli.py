@@ -15,7 +15,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from radstar import cli, solver
-from radstar.core import CLASSES, ClassId, NoRootError
+from radstar.core import CLASSES, ClassId, Family, NoRootError, Variant
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).parents[1] / "src"
@@ -363,6 +363,57 @@ def test_boundary_theta_matches_samples():
         assert abs(complex(re, im) - w) < 1e-12
 
 
+def test_boundary_output_byte_identical(capsys):
+    # every family's samples and angles at sizes that split the curve
+    # differently between its pieces, and at a size where the angle
+    # rounding shows, pinned by the sha256 of the stdout of all 48 commands
+    h = hashlib.sha256()
+    for f in Family:
+        for n in (4, 5, 257, 4097):
+            assert cli.main(["boundary", "--target", f.value, "--n", str(n)]) == 0
+            h.update(capsys.readouterr().out.encode())
+    assert h.hexdigest() == (
+        "50618cf9bd0b38528d43761cb12aefdb1b3eff71d2ea946b6fca494f71d18240")
+
+
+# every status a table cell can print (solver.TableCell.status)
+_STATUSES = ["OK", "EXTRAPOLATION", "ERROR:no-root", "ERROR:unsupported",
+             "ERROR:parameter"]
+
+
+def test_no_csv_field_needs_quoting():
+    # cli._csv joins fields with no quoting; only the text fields could
+    # need it, and every one comes from a fixed set of names
+    names = ([c.value for c in ClassId] + [f.value for f in Family]
+             + [v.value for v in Variant] + _STATUSES + cli.CSV_HEADER
+             + ["theta", "re", "im"])
+    assert not [s for s in names if set(s) & set(',"\r\n')]
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--class", "g1", "--extended"],
+    ["table", "--class", "g2", "--extended"],
+    # two ERROR:parameter rows, their rho and residual empty
+    ["table", "--class", "g1", "--targets", "strongly,starlike,rl",
+     "--gamma", "1e-9", "--mag-grid", "0,1"],
+] + [["boundary", "--target", f.value, "--n", "5"] for f in Family],
+    ids=" ".join)
+def test_csv_matches_csv_writer(argv, monkeypatch):
+    # the rows a command hands to cli._csv, written by it and by csv.writer
+    write, seen = cli._csv, []
+    monkeypatch.setattr(cli, "_csv", lambda header, rows, out:
+                        seen.append((header, list(rows))))
+    assert _run(argv) == (0, "")
+    (header, rows), = seen
+    assert rows
+    out, expected = io.StringIO(), io.StringIO()
+    write(header, rows, out)
+    w = csv.writer(expected, lineterminator="\n")
+    w.writerow(header)
+    w.writerows([cli._fmt(x) for x in row] for row in rows)
+    assert out.getvalue() == expected.getvalue()
+
+
 _BAD_GRID = [
     (["--b-steps", "3"], "--b-steps needs both"),
     (["--b-steps", "3", "--b-end", "-0.5"], "--b-steps needs both"),
@@ -556,12 +607,15 @@ for argv, code in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), \\
             contextlib.redirect_stderr(io.StringIO()):
         assert cli.main(argv) == code, argv
-    assert not {"numpy", "dataclasses", "inspect"} & set(sys.modules), argv
+    assert not {"numpy", "dataclasses", "inspect", "csv"} & set(sys.modules), argv
 from radstar import regions, verify
 from radstar.core import ClassId, Family, default_target, make_class
 verify.verify_cell(make_class(ClassId.G1, -1.0), default_target(Family.SINE))
 import numpy
 assert regions.np is numpy, regions.np
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["boundary", "--target", "sine", "--n", "64"]) == 0
+assert "csv" not in sys.modules
 """
 
 
@@ -569,7 +623,8 @@ def test_radius_path_does_not_import_numpy():
     # numpy is loaded only where an array is built, and once an array is
     # built the module itself, not a stand-in, serves every later call;
     # the value types are named tuples, so dataclasses and the inspect
-    # module it pulls in are never loaded
+    # module it pulls in are never loaded; every CSV is joined by cli._csv,
+    # so no command loads the csv module
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p)

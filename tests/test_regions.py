@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from radstar import regions
 from radstar.core import (CLASSES, Family, ParameterError, TargetSpec,
                           default_target)
-from radstar.regions import (E, SIN1, SQRT2, boundary_parameters,
-                             cardioid_quartic, containment_threshold,
-                             membership_mask, nephroid_sextic, region_boundary)
+from radstar.regions import (E, SIN1, SQRT2, cardioid_quartic,
+                             containment_threshold, membership_mask,
+                             nephroid_sextic, region_boundary)
 from winding_oracle import IndeterminateWindingError, winding_contains
 
 ALL_TARGETS = [default_target(f) for f in Family]
@@ -215,7 +215,7 @@ def test_mask_agrees_with_exact_value(fam):
     from mpmath import workdps
     t = default_target(fam)
     gen = regions.FAMILIES[fam].generator
-    edge = gen(regions._anchored_circle(400))
+    edge = gen(regions._anchored_circle(regions._anchored_angles(400)))
     rng = np.random.default_rng(20261019)
     lo, hi = edge.real.min() - 0.25, edge.real.max() + 0.25
     h = np.abs(edge.imag).max() + 0.25
@@ -366,7 +366,7 @@ def test_algebraic_generator_consistency():
                 Family.RATIONAL_R, Family.RATIONAL_RL, Family.LUNE):
         t = default_target(fam)
         gen = regions.FAMILIES[fam].generator
-        boundary = gen(regions._anchored_circle(4096))
+        boundary = gen(regions._anchored_circle(regions._anchored_angles(4096)))
         pts = rng.uniform(-1.0, 3.5, 400) + 1j * rng.uniform(-2.0, 2.0, 400)
         n_checked = 0
         for w in pts:
@@ -387,7 +387,7 @@ def test_algebraic_generator_consistency():
 
 def test_boundary_closed_for_all_families():
     for t in ALL_TARGETS:
-        pts = region_boundary(t, 257)
+        _, pts = region_boundary(t, 257)
         assert len(pts) == 257
         assert abs(pts[0] - pts[-1]) < 1e-12, t.label()
 
@@ -397,35 +397,34 @@ def test_boundary_small_n():
         region_boundary(default_target(Family.CARDIOID), 3)
     with pytest.raises(ParameterError):
         region_boundary(default_target(Family.CARDIOID), 1_000_001)
-    pts = region_boundary(default_target(Family.CARDIOID), 8)
+    _, pts = region_boundary(default_target(Family.CARDIOID), 8)
     assert len(pts) == 8
 
 
 def test_boundary_contains_real_axis_anchors():
     # anchored angle grid always includes z = 1 and z = -1
     for n in (8, 64, 257):
-        pts = region_boundary(default_target(Family.CARDIOID), n)
+        _, pts = region_boundary(default_target(Family.CARDIOID), n)
         assert any(abs(p - 3.0) < 1e-12 for p in pts)
         assert any(abs(p - 1.0 / 3.0) < 1e-12 for p in pts)
-    pts = region_boundary(default_target(Family.SINE), 64)
+    _, pts = region_boundary(default_target(Family.SINE), 64)
     assert any(abs(p - (1.0 + SIN1)) < 1e-12 for p in pts)
-    pts = region_boundary(default_target(Family.NEPHROID), 64)
+    _, pts = region_boundary(default_target(Family.NEPHROID), 64)
     assert any(abs(p - 5.0 / 3.0) < 1e-12 for p in pts)
-    pts = region_boundary(default_target(Family.RATIONAL_R), 64)
+    _, pts = region_boundary(default_target(Family.RATIONAL_R), 64)
     assert any(abs(p - 2.0 * (SQRT2 - 1.0)) < 1e-12 for p in pts)
 
 
 def test_boundary_parameters_align_with_samples():
     for t in (default_target(Family.CARDIOID), default_target(Family.LUNE),
               default_target(Family.PARABOLIC)):
-        th = boundary_parameters(t, 33)
-        assert len(th) == 33
+        th, pts = region_boundary(t, 33)
+        assert len(th) == len(pts) == 33
         assert th[0] == 0.0
         assert th[-1] == pytest.approx(2.0 * math.pi)
     # generator families: sample k is exactly the generator at angle k
     t = default_target(Family.NEPHROID)
-    th = boundary_parameters(t, 33)
-    pts = region_boundary(t, 33)
+    th, pts = region_boundary(t, 33)
     gen = regions.FAMILIES[Family.NEPHROID].generator
     np.testing.assert_allclose(pts, gen(np.exp(1j * th)), atol=1e-14)
 
@@ -434,12 +433,12 @@ def test_truncated_boundaries_stay_within_cap():
     for t in (TargetSpec(Family.STARLIKE_ORDER, alpha=0.0),
               TargetSpec(Family.STRONGLY_STARLIKE, gamma=0.5),
               default_target(Family.PARABOLIC)):
-        pts = region_boundary(t, 513)
+        _, pts = region_boundary(t, 513)
         assert np.max(np.abs(pts)) <= 4.0 + 1e-9
 
 
 def test_lune_boundary_on_the_two_circles():
-    pts = region_boundary(default_target(Family.LUNE), 257)
+    _, pts = region_boundary(default_target(Family.LUNE), 257)
     d = np.minimum(np.abs(np.abs(pts - 1.0) - SQRT2),
                    np.abs(np.abs(pts + 1.0) - SQRT2))
     assert np.max(d) < 1e-9

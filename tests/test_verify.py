@@ -101,9 +101,8 @@ def test_one_pass_scan_matches_two_passes(n, monkeypatch):
 def test_rl_threshold_exact_for_generator_image():
     # the composite threshold equals the distance from the center to the image
     # of the unit circle under the generator attached to this family
-    boundary = regions.FAMILIES[Family.RATIONAL_RL].generator(
-        regions._anchored_circle(200001))
     t = default_target(Family.RATIONAL_RL)
+    boundary = regions.region_boundary(t, 200001)[1]
     for c in (1.0, 1.1, 1.25):
         thr = regions.containment_threshold(t, c)
         dist = float(np.min(np.abs(boundary - c)))
