@@ -75,7 +75,7 @@ class ConditionKind(_IdentityEnum):
     COMPOSITE = "composite"
 
 
-# Members compared on every cell are read as module globals: on Python 3.11
+# Members read on every cell are read as module globals: on Python 3.11
 # EnumType has a __getattr__, which keeps a read such as ClassId.G1 off the
 # interpreter's fast attribute path (about 100 ns against 15 ns).
 _POLYNOMIAL = ConditionKind.POLYNOMIAL
@@ -237,7 +237,6 @@ _NO_PROOF = _Proof()
 
 
 class _ConditionFields(NamedTuple):
-    kind: ConditionKind
     variant: Variant
     coeffs: Optional[Tuple[float, ...]]  # ascending by degree, five
     evaluator: Optional[Callable[[float], float]]
@@ -247,31 +246,37 @@ class _ConditionFields(NamedTuple):
 class RadiusCondition(_ConditionFields):
     """Scalar condition h on [0, 1); containment holds while h(r) <= 0.
 
-    h takes a float r; a polynomial condition is evaluated by Horner's rule,
-    unrolled once here. Coefficients are padded with leading zeros to five
-    when the condition is built, and more than five are refused.
-    h, the Horner closure or the evaluator, and proof (_Proof) are instance
-    attributes beside the five fields (the class has no __slots__), so ==,
-    hash and repr read the fields alone. A polynomial condition's proof is
-    _QUARTIC_PROOF; a composite one's is proof=, the empty proof unless its
-    builder gives one, and always after _make and _replace. cond.__call__ is
-    h itself and cond(r) is h(r); on the class, __call__ is an _Evaluator,
-    which a patch can wrap to count every evaluation."""
+    h takes a float r. A condition has exactly one of coeffs, evaluated by
+    Horner's rule, unrolled once here, and evaluator; kind says which.
+    Coefficients are padded with leading zeros to five when the condition
+    is built, and more than five are refused. h, the Horner closure or the
+    evaluator, and proof (_Proof) are instance attributes beside the four
+    fields (the class has no __slots__), so ==, hash and repr read the
+    fields alone. proof is _QUARTIC_PROOF for coefficients, else the
+    evaluator's proof attribute, else the empty proof, so _make and
+    _replace keep it. cond.__call__ is h itself and cond(r) is h(r); on
+    the class, __call__ is an _Evaluator, which a patch can wrap to count
+    every evaluation."""
 
-    def __new__(cls, kind: ConditionKind, variant: Variant,
-                coeffs: Optional[Tuple[float, ...]] = None,
+    def __new__(cls, variant: Variant, coeffs: Optional[Tuple[float, ...]] = None,
                 evaluator: Optional[Callable[[float], float]] = None,
-                extrapolation: bool = False, proof: _Proof = _NO_PROOF):
+                extrapolation: bool = False):
+        if (coeffs is None) is (evaluator is None):
+            raise ParameterError("give exactly one of coeffs and evaluator")
         if coeffs is not None and len(coeffs) != 5:
             n = len(coeffs)
             if n > 5:
                 raise ParameterError(f"{n} coefficients; at most 5 (degree 4)")
             coeffs = tuple(coeffs) + (0.0,) * (5 - n)
-        self = tuple.__new__(cls, (kind, variant, coeffs, evaluator,
-                                   extrapolation))
-        self._h = _horner(coeffs) if kind is _POLYNOMIAL else evaluator
-        self.proof = _QUARTIC_PROOF if kind is _POLYNOMIAL else proof
+        self = tuple.__new__(cls, (variant, coeffs, evaluator, extrapolation))
+        self._h = _horner(coeffs) if evaluator is None else evaluator
+        self.proof = (_QUARTIC_PROOF if evaluator is None
+                      else getattr(evaluator, "proof", _NO_PROOF))
         return self
+
+    @property
+    def kind(self) -> ConditionKind:
+        return ConditionKind.COMPOSITE if self.coeffs is None else _POLYNOMIAL
 
     _make = classmethod(_make_through_new)
 

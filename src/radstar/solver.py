@@ -7,17 +7,15 @@ from typing import (Callable, Iterable, List, NamedTuple, Optional, Sequence,
                     Tuple)
 
 from . import bounds, regions
-from .core import (_INF, _SLACK, ClassId, ClassSpec, ConditionKind, Family,
-                   NoRootError, ParameterError, RadiusCondition, RadiusResult,
-                   TargetSpec, UnsupportedCombinationError, Variant,
-                   _Proof, default_target)
+from .core import (_INF, _SLACK, ClassId, ClassSpec, Family, NoRootError,
+                   ParameterError, RadiusCondition, RadiusResult, TargetSpec,
+                   UnsupportedCombinationError, Variant, _Proof, default_target)
 
 _SCAN_STEP, _SCAN_END = 1e-3, 1000  # the grid: k * _SCAN_STEP, 0 < k < _SCAN_END
 _U = 2.0 ** -53  # the unit roundoff of a double
 DEFAULT_TOL = 1e-12
 # Members compared on every cell, read as module globals (see core._POLYNOMIAL).
 _CORRECTED, _PRINTED_PROOF = Variant.CENTER_CORRECTED, Variant.PRINTED_PROOF
-_POLYNOMIAL, _COMPOSITE = ConditionKind.POLYNOMIAL, ConditionKind.COMPOSITE
 
 
 def _rl_evaluator(spec: ClassSpec, t: TargetSpec, center_of: Optional[Callable]):
@@ -27,7 +25,7 @@ def _rl_evaluator(spec: ClassSpec, t: TargetSpec, center_of: Optional[Callable])
     increasing on [0, 1): the disk radius grows with r, the threshold falls
     as the center grows from 1 to sqrt2, and from sqrt2 on it is 0. So h
     changes sign once, and its float signs on the grid too, as _RLProof
-    states; assemble_condition gives it to this evaluator's condition alone."""
+    states: h carries it as h.proof, which its condition takes."""
     disk_at = bounds.disk_map(spec)
 
     def h(r):
@@ -36,11 +34,13 @@ def _rl_evaluator(spec: ClassSpec, t: TargetSpec, center_of: Optional[Callable])
         thr = regions.containment_threshold(t, c)  # never negative for RL
         return radius * den - thr * den
 
+    h.proof = _RL_PROOF
     return h
 
 
 class _RLProof(_Proof):
-    """The proof of the RL condition, on _rl_evaluator's evaluator alone:
+    """The proof of the RL condition, set on _rl_evaluator's evaluator
+    alone, which its condition takes it from, after _make and _replace too:
     its grid signs change once, and step_bound is (E, rho) on the step
     [lo, hi]: E bounds |fl(h)(x) - H(x)| at every float x of the step, and
     rho bounds den_max / den_min there. H is exact h = N - T(c) D, with
@@ -119,17 +119,15 @@ def assemble_condition(spec: ClassSpec, t: TargetSpec,
                else fd.readings[spec.class_id][variant])
     affine = fd.threshold
     if affine is None:  # RL: the threshold is not affine in the center
-        return RadiusCondition(_COMPOSITE, variant,
-                               evaluator=_rl_evaluator(spec, t, reading),
-                               extrapolation=extrapolation, proof=_RL_PROOF)
+        return RadiusCondition(variant, evaluator=_rl_evaluator(spec, t, reading),
+                               extrapolation=extrapolation)
     m = spec.coeff_mag
     if reading is None:
         p, q = affine(t)  # unpacked: a star call costs more
         coeffs = bounds.quartic(spec.class_id, m, p, q)
     else:
         coeffs = reading(m)
-    return RadiusCondition(_POLYNOMIAL, variant, coeffs=coeffs,
-                           extrapolation=extrapolation)
+    return RadiusCondition(variant, coeffs=coeffs, extrapolation=extrapolation)
 
 
 def _no_root(cond: RadiusCondition, message: str, h0: float) -> NoRootError:
@@ -210,11 +208,12 @@ def smallest_root_in_01(cond: RadiusCondition,
     """Locate the least r in (0, 1) with h(r) = 0: the first point of the
     1e-3 grid where h is not negative (_first_nonnegative), then bisection
     of the step before it to width <= tol. It asks cond.proof, not cond's
-    kind, what is proven of h (core._QuarticProof beside core._horner,
-    _RLProof beside _rl_evaluator, else the empty core._Proof): where the
-    grid search may skip the walk, and the step's bound from which
-    _root_window proves a root window (a, b). Bisection evaluates h only at
-    midpoints inside it, so its brackets are those of evaluating every one.
+    kind, what is proven of h (core._QuarticProof for coefficients, else
+    the evaluator's own, _RLProof on _rl_evaluator's, or the empty
+    core._Proof): where the grid search may skip the walk, and the step's
+    bound from which _root_window proves a root window (a, b). Bisection
+    evaluates h only at midpoints inside it, so its brackets are those of
+    evaluating every one.
     A NaN value of h is neither negative nor a sign change: it raises
     NoRootError. Every evaluation goes through cond.__call__, bound once
     here: that is cond's evaluator itself, with no frame around it, and

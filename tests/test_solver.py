@@ -16,13 +16,14 @@ from radstar.core import (CLASSES, ClassId, ConditionKind, DomainError,
                           Family, NoRootError, ParameterError, RadiusCondition,
                           TargetSpec, UnsupportedCombinationError, Variant,
                           class_from_coeff_mag, default_target, make_class)
+from radstar.regions import containment_threshold, region_boundary
 from radstar.solver import (assemble_condition, compute_radius, radius_table,
                             smallest_root_in_01, supported_targets)
 from scan_oracle import SCAN_STEP, first_stop, horner_loop, scan_smallest_root
 
 
 def _poly_condition(coeffs):
-    return RadiusCondition(ConditionKind.POLYNOMIAL, Variant.CENTER_CORRECTED,
+    return RadiusCondition(Variant.CENTER_CORRECTED,
                            coeffs=tuple(float(c) for c in coeffs))
 
 
@@ -207,8 +208,7 @@ def test_no_root_raises():
 
 
 def _composite_condition(h):
-    return RadiusCondition(ConditionKind.COMPOSITE, Variant.CENTER_CORRECTED,
-                           evaluator=h)
+    return RadiusCondition(Variant.CENTER_CORRECTED, evaluator=h)
 
 
 def _nan_between(a, b):
@@ -374,6 +374,39 @@ def test_library_disk_centers_below_lemma_range():
     assert n == 2 * 41 * 10 + 41 * 3
 
 
+_THRESHOLD_TARGETS = ([default_target(f) for f in Family]
+                      + [TargetSpec(Family.STARLIKE_ORDER, alpha=0.5),
+                         TargetSpec(Family.STRONGLY_STARLIKE, gamma=0.3)])
+
+
+def _cut_arc(t, w):
+    # the samples on the arc that closes a boundary cut at |w| = 4: about
+    # alpha for the half-plane, about 0 for the parabola and the sector
+    if t.family is Family.STARLIKE_ORDER:
+        return np.abs(np.abs(w - t.alpha) - math.sqrt(16.0 - t.alpha ** 2)) < 1e-9
+    if t.family in (Family.PARABOLIC, Family.STRONGLY_STARLIKE):
+        return np.abs(np.abs(w) - 4.0) < 1e-9
+    return np.zeros(len(w), dtype=bool)
+
+
+@pytest.mark.parametrize("t", _THRESHOLD_TARGETS,
+                         ids=lambda t: f"{t.label()}-{t.alpha}-{t.gamma}")
+def test_threshold_is_the_distance_to_the_boundary(t):
+    # below c_end each threshold is the largest disk about c that fits: the
+    # nearest of 65537 boundary samples lies no nearer than the threshold
+    # (to rounding) and at most 1e-6 farther, the sampling's spacing; the
+    # arcs that close the cut boundaries lie farther than any threshold
+    _, w = region_boundary(t, 65537)
+    cut = _cut_arc(t, w)
+    c_end = min(_C_END.get(t.family, math.inf), 1.5)
+    for c in (1.0, (1.0 + c_end) / 2.0, 1.0 + 0.9 * (c_end - 1.0)):
+        threshold = containment_threshold(t, c)
+        nearest = float(np.min(np.abs(w - c)))
+        assert threshold - 1e-12 <= nearest <= threshold + 1e-6, c
+        if cut.any():
+            assert np.min(np.abs(w[cut] - c)) >= max(2.5, threshold), c
+
+
 def test_root_window_refused():
     # where the checks fail the window is the whole step: a NaN or infinite
     # coefficient, and the double root of (r - 0.3)^2 (r - 0.7), whose float
@@ -534,14 +567,13 @@ def test_rl_root_window_refused():
 def test_rl_root_window_only_for_the_rl_evaluator():
     # on h = r - 0.3 with a stretch of +1 on [0.2999995, 0.2999999), the
     # grid signs change once, but the RL window, proven for the RL evaluator
-    # alone, would skip the stretch; a composite condition built without
-    # proof= has the empty proof, so the bisection evaluates every midpoint
-    # and finds its start
+    # alone, would skip the stretch; a composite condition whose evaluator
+    # carries no proof attribute has the empty proof, so the bisection
+    # evaluates every midpoint and finds its start
     def h(r):
         return 1.0 if 0.2999995 <= r < 0.2999999 else r - 0.3
 
-    cond = RadiusCondition(ConditionKind.COMPOSITE, Variant.CENTER_CORRECTED,
-                           evaluator=h)
+    cond = RadiusCondition(Variant.CENTER_CORRECTED, evaluator=h)
     res = smallest_root_in_01(cond)
     assert res.bracket == (0.299999499999918, 0.2999995000008493)
     assert _outcome(smallest_root_in_01, cond) == _outcome(scan_smallest_root, cond)
@@ -574,6 +606,32 @@ def test_rl_cell_h_evaluations(monkeypatch):
         assert 12 <= len(calls) <= 18, (cell, len(calls))
         n += 1
     assert n == 41 * 3
+
+
+@pytest.mark.parametrize("b", [-1.0, -0.7, -0.3])
+def test_rebuilt_rl_condition_keeps_its_proof(monkeypatch, b):
+    # the RL proof travels with the evaluator, so a condition rebuilt by
+    # _replace or _make keeps it: the same bracket in the same count of
+    # evaluations through RadiusCondition.__call__, where the empty proof
+    # would evaluate every midpoint of the bisection
+    calls = []
+    call = RadiusCondition.__call__
+
+    def counted(cond, r):
+        calls.append(r)
+        return call(cond, r)
+
+    monkeypatch.setattr(RadiusCondition, "__call__", counted)
+    cond = assemble_condition(make_class(ClassId.G1, b),
+                              default_target(Family.RATIONAL_RL))
+    outcomes = []
+    for c in (cond, cond._replace(extrapolation=True),
+              RadiusCondition._make(cond)):
+        assert c.proof is solver._RL_PROOF
+        calls.clear()
+        outcomes.append((smallest_root_in_01(c).bracket, len(calls)))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+    assert outcomes[0][1] <= 18
 
 
 def test_patched_call_sees_every_evaluation(monkeypatch):

@@ -42,8 +42,7 @@ CASES = [
     (ClassSpec, (ClassId.G1, -1.0, 1.0), {}),
     (TargetSpec, (Family.STARLIKE_ORDER,), {"alpha": 0.25}),
     (DiskSpec, (1.5, 0.5, 0.75), {}),
-    (RadiusCondition, (ConditionKind.POLYNOMIAL, Variant.CENTER_CORRECTED),
-     {"coeffs": (-1.0, 2.0)}),
+    (RadiusCondition, (Variant.CENTER_CORRECTED,), {"coeffs": (-1.0, 2.0)}),
     (RadiusResult, (0.5, 0.0, (0.5, 0.5), Variant.CENTER_CORRECTED, 30), {}),
     (FamilyDef, (_mask, _threshold), {}),
     (TableCell, (_SPEC, _TARGET, Variant.CENTER_CORRECTED, _RESULT, None), {}),
@@ -92,23 +91,63 @@ def test_repr_names_every_field(cls, args, kwargs):
 
 def test_condition_compares_and_prints_its_fields_only():
     # the Horner closure built for each condition is no field: two
-    # conditions of the same coefficients are equal, and evaluate alike
-    a, b = (RadiusCondition(ConditionKind.POLYNOMIAL, Variant.PRINTED,
-                            coeffs=(-1.0, 2.0)) for _ in range(2))
+    # conditions of the same coefficients are equal, and evaluate alike;
+    # kind, read from the fields, is no field either
+    a, b = (RadiusCondition(Variant.PRINTED, coeffs=(-1.0, 2.0))
+            for _ in range(2))
     assert a == b and a(0.25) == b(0.25) == -0.5
-    assert "evaluator=None" in repr(a)
-    c = RadiusCondition(ConditionKind.COMPOSITE, Variant.CENTER_CORRECTED,
-                        evaluator=_evaluator)
+    assert "evaluator=None" in repr(a) and "kind" not in repr(a)
+    c = RadiusCondition(Variant.CENTER_CORRECTED, evaluator=_evaluator)
     assert c(0.75) == 0.25
-    kind, variant, coeffs, evaluator, extrapolation = c
+    variant, coeffs, evaluator, extrapolation = c
     assert (coeffs, evaluator, extrapolation) == (None, _evaluator, False)
+    assert (a.kind, c.kind) == (ConditionKind.POLYNOMIAL, ConditionKind.COMPOSITE)
+    assert c == RadiusCondition(Variant.CENTER_CORRECTED, None, _evaluator)
+    assert a == RadiusCondition(Variant.PRINTED, (-1.0, 2.0), None, False)
+
+
+def test_condition_takes_exactly_one_of_coeffs_and_evaluator():
+    with pytest.raises(ParameterError, match="exactly one"):
+        RadiusCondition(Variant.CENTER_CORRECTED)
+    with pytest.raises(ParameterError, match="exactly one"):
+        RadiusCondition(Variant.CENTER_CORRECTED, coeffs=(-1.0, 2.0),
+                        evaluator=_evaluator)
+    a = RadiusCondition(Variant.CENTER_CORRECTED, coeffs=(-1.0, 2.0))
+    with pytest.raises(ParameterError, match="exactly one"):
+        a._replace(evaluator=_evaluator)
+    with pytest.raises(ParameterError, match="exactly one"):
+        a._replace(coeffs=None)
+    with pytest.raises(AttributeError):
+        a.kind = ConditionKind.COMPOSITE
+    assert a.kind is ConditionKind.POLYNOMIAL
+
+
+def test_condition_takes_its_proof_from_its_evaluator():
+    # the quartic proof for coefficients, else the evaluator's proof
+    # attribute, else the empty proof, on every path a condition is built
+    def g(r):
+        return r - 0.25
+
+    def g_proven(r):
+        return r - 0.25
+
+    g_proven.proof = solver._RL_PROOF
+    c = RadiusCondition(Variant.CENTER_CORRECTED, evaluator=_evaluator)
+    assert c.proof is core._NO_PROOF
+    assert c._replace(evaluator=g).proof is core._NO_PROOF
+    moved = c._replace(evaluator=g_proven)
+    assert moved.proof is solver._RL_PROOF and moved(0.5) == 0.25
+    assert RadiusCondition._make(moved).proof is solver._RL_PROOF
+    assert moved._replace(evaluator=g).proof is core._NO_PROOF
+    quartic = c._replace(evaluator=None, coeffs=(-1.0, 2.0))
+    assert quartic.proof is core._QUARTIC_PROOF
+    assert quartic.kind is ConditionKind.POLYNOMIAL
 
 
 def test_condition_pads_its_coefficients_to_five():
     # the coefficients are padded once, when the condition is built, and
     # _replace, which builds through __new__, keeps them
-    a = RadiusCondition(ConditionKind.POLYNOMIAL, Variant.CENTER_CORRECTED,
-                        coeffs=[-1.0, 2.0])
+    a = RadiusCondition(Variant.CENTER_CORRECTED, coeffs=[-1.0, 2.0])
     assert a.coeffs == (-1.0, 2.0, 0.0, 0.0, 0.0)
     assert all(type(c) is float for c in a.coeffs)
     b = a._replace(extrapolation=True)
@@ -128,11 +167,9 @@ def test_replace_builds_through_new():
     # _replace and _make run the subclass's __new__: a replaced condition
     # binds its h again, and a replaced target checks its order parameters.
     # A replaced quartic derives the quartic proof from its coefficients; a
-    # replaced RL condition gets the empty proof, as _replace(evaluator=...)
-    # may bring an h the RL proof does not cover: that costs evaluations,
-    # not bits
+    # replaced RL condition keeps the RL proof, which its evaluator carries
     for family, proof in ((Family.CARDIOID, core._QUARTIC_PROOF),
-                          (Family.RATIONAL_RL, core._NO_PROOF)):
+                          (Family.RATIONAL_RL, solver._RL_PROOF)):
         cond = assemble_condition(make_class(ClassId.G1, -0.7),
                                   default_target(family))
         moved = cond._replace(extrapolation=True)
