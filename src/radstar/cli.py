@@ -12,9 +12,8 @@ from typing import List, Optional, Sequence
 
 from . import regions, solver, verify
 from .core import (CLASSES, ClassId, Family, NoRootError, ParameterError,
-                   RadiusResult, TargetSpec, UnsupportedCombinationError,
-                   Variant, default_target, make_class, class_from_coeff_mag,
-                   coefficient)
+                   TargetSpec, UnsupportedCombinationError, Variant,
+                   default_target, make_class, class_from_coeff_mag, coefficient)
 
 CSV_HEADER = ["class", "b", "coeff_mag", "target", "alpha", "gamma",
               "variant", "rho", "residual", "status"]
@@ -56,12 +55,12 @@ def _parse_target(name: str, **order: float) -> TargetSpec:
     return default_target(fam, **order)
 
 
-def _record(spec, t: TargetSpec, variant: Variant,
-            res: Optional[RadiusResult], status: str) -> list:
+def _record(cell: solver.TableCell) -> list:
     """A table row, its raw values in CSV_HEADER order."""
+    spec, t, res = cell.spec, cell.target, cell.result
     rho, residual = (None, None) if res is None else (res.rho, res.residual)
     return [spec.class_id.value, spec.b, spec.coeff_mag, t.label(), t.alpha,
-            t.gamma, variant.value, rho, residual, status]
+            t.gamma, cell.variant.value, rho, residual, cell.status]
 
 
 def _cstr(w: Optional[complex]) -> Optional[str]:
@@ -213,8 +212,8 @@ def cmd_radius(args, out) -> int:
     variant = Variant(args.variant)
     res = solver.compute_radius(spec, t, variant, args.tol,
                                 extended=args.extended)
-    status = "EXTRAPOLATION" if res.extrapolation else "OK"
-    _emit_records([_record(spec, t, res.variant, res, status)], args.format, out)
+    cell = solver.TableCell(spec, t, res.variant, res, None)
+    _emit_records([_record(cell)], args.format, out)
     return 0
 
 
@@ -225,8 +224,7 @@ def cmd_table(args, out) -> int:
     variant = Variant(args.variant)
     cells = solver.radius_table(class_id, specs, targets, variant, args.tol,
                                 extended=args.extended)
-    _emit_records([_record(c.spec, c.target, c.variant, c.result, c.status)
-                   for c in cells], args.format, out)
+    _emit_records([_record(c) for c in cells], args.format, out)
     return 1 if cells and all(c.result is None for c in cells) else 0
 
 

@@ -75,12 +75,6 @@ class ConditionKind(_IdentityEnum):
     COMPOSITE = "composite"
 
 
-# Members read on every cell are read as module globals: on Python 3.11
-# EnumType has a __getattr__, which keeps a read such as ClassId.G1 off the
-# interpreter's fast attribute path (about 100 ns against 15 ns).
-_POLYNOMIAL = ConditionKind.POLYNOMIAL
-
-
 class ClassDef(NamedTuple):
     """Every per-class fact: the slope of the coefficient 1 + slope * b,
     whose magnitude is all a radius depends on, the interval [b_lo, b_hi]
@@ -210,32 +204,6 @@ class _Evaluator(property):
         return cond._h(r)
 
 
-# Horner's rule on a quartic errs by at most gamma_8 * sum |c_i| on [0, 1]
-# (Higham, Accuracy and Stability of Numerical Algorithms, 5.1), the Bernstein
-# coefficients by gamma_10 * sum |c_i|: 2 ** -47 bounds both, 2 ** -1070 underflow.
-_HORNER_ERR = 2.0 ** -47
-_SLACK = 1.0 + 2.0 ** -40  # raises a bound computed in floats over its rounding
-_INF = float("inf")
-
-
-class _Proof:
-    """What is proven of h, one instance for each kind of evaluator. The
-    solver asks negative_to(cond, x): is float h negative at every point
-    of the 1e-3 grid in [0, x]? And step_bound(cond, lo, hi): the rounding
-    bound (E, rho) of the step, which solver._root_window takes. This is
-    the empty proof: it proves nothing, so the grid is walked and every
-    midpoint evaluated. _QuarticProof and solver._RLProof prove more."""
-
-    def negative_to(self, cond, x: float) -> bool:
-        return False
-
-    def step_bound(self, cond, lo: float, hi: float) -> Tuple[float, float]:
-        return _INF, _INF
-
-
-_NO_PROOF = _Proof()
-
-
 class _ConditionFields(NamedTuple):
     variant: Variant
     coeffs: Optional[Tuple[float, ...]]  # ascending by degree, five
@@ -250,13 +218,13 @@ class RadiusCondition(_ConditionFields):
     Horner's rule, unrolled once here, and evaluator; kind says which.
     Coefficients are padded with leading zeros to five when the condition
     is built, and more than five are refused. h, the Horner closure or the
-    evaluator, and proof (_Proof) are instance attributes beside the four
-    fields (the class has no __slots__), so ==, hash and repr read the
-    fields alone. proof is _QUARTIC_PROOF for coefficients, else the
-    evaluator's proof attribute, else the empty proof, so _make and
-    _replace keep it. cond.__call__ is h itself and cond(r) is h(r); on
-    the class, __call__ is an _Evaluator, which a patch can wrap to count
-    every evaluation."""
+    evaluator, is the one instance attribute beside the four fields (the
+    class has no __slots__), so ==, hash and repr read the fields alone,
+    and _make and _replace, which build through __new__, bind it again. A
+    condition carries no proof: the solver derives what is proven of h
+    from its fields (solver._proof_of). cond.__call__ is h itself and
+    cond(r) is h(r); on the class, __call__ is an _Evaluator, which a
+    patch can wrap to count every evaluation."""
 
     def __new__(cls, variant: Variant, coeffs: Optional[Tuple[float, ...]] = None,
                 evaluator: Optional[Callable[[float], float]] = None,
@@ -270,13 +238,12 @@ class RadiusCondition(_ConditionFields):
             coeffs = tuple(coeffs) + (0.0,) * (5 - n)
         self = tuple.__new__(cls, (variant, coeffs, evaluator, extrapolation))
         self._h = _horner(coeffs) if evaluator is None else evaluator
-        self.proof = (_QUARTIC_PROOF if evaluator is None
-                      else getattr(evaluator, "proof", _NO_PROOF))
         return self
 
     @property
     def kind(self) -> ConditionKind:
-        return ConditionKind.COMPOSITE if self.coeffs is None else _POLYNOMIAL
+        return (ConditionKind.COMPOSITE if self.coeffs is None
+                else ConditionKind.POLYNOMIAL)
 
     _make = classmethod(_make_through_new)
 
@@ -295,47 +262,6 @@ def _horner(coeffs: Tuple[float, ...]) -> Callable[[float], float]:
         return (((a4 * r + c3) * r + c2) * r + c1) * r + c0
 
     return h
-
-
-def _horner_error(c: Tuple[float, ...]) -> float:
-    """Bound on the rounding error of Horner's rule, and of the Bernstein
-    coefficients, on the quartic of coefficients c anywhere on [0, 1];
-    inf where a coefficient is NaN or infinite, or so large that a partial
-    sum could overflow, so that no check passes."""
-    s = abs(c[0]) + abs(c[1]) + abs(c[2]) + abs(c[3]) + abs(c[4])
-    return _HORNER_ERR * s + 2.0 ** -1070 if s < 2.0 ** 1000 else _INF
-
-
-class _QuarticProof(_Proof):
-    """The proof of every polynomial condition, from its coefficients c and
-    err = _horner_error(c), infinite where a coefficient is NaN or infinite.
-    negative_to(cond, x), x <= 1: the Bernstein coefficients on [0, x] bound
-    h above and lie below -err, so Horner's rule is negative in floats on
-    all of [0, x]. step_bound: (err, 1), h being its own D = 1 and G, where
-    exact h' is proven positive on the step, else (inf, inf). The proof is
-    dmin > 0: dmin is h'(lo) by Horner, less 4 err, which bounds its
-    rounding, and less the step times a bound on |h''|."""
-
-    def negative_to(self, cond, x):
-        c0, c1, c2, c3, c4 = c = cond.coeffs
-        x2 = x * x
-        a1, a2, a3, a4 = c1 * x, c2 * x2, c3 * (x2 * x), c4 * (x2 * x2)
-        bound = -_horner_error(c)
-        return (c0 < bound and c0 + a1 / 4.0 < bound
-                and c0 + a1 / 2.0 + a2 / 6.0 < bound
-                and c0 + 0.75 * a1 + a2 / 2.0 + a3 / 4.0 < bound
-                and c0 + a1 + a2 + a3 + a4 < bound)
-
-    def step_bound(self, cond, lo, hi):
-        _, c1, c2, c3, c4 = c = cond.coeffs
-        err = _horner_error(c)
-        dmin = (((4.0 * c4 * lo + 3.0 * c3) * lo + 2.0 * c2) * lo + c1
-                - (4.0 * err + (2.0 * abs(c2) + 6.0 * abs(c3) + 12.0 * abs(c4))
-                   * (hi - lo)) * _SLACK)
-        return (err, 1.0) if dmin > 0.0 else (_INF, _INF)
-
-
-_QUARTIC_PROOF = _QuarticProof()
 
 
 class RadiusResult(NamedTuple):

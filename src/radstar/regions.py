@@ -28,7 +28,7 @@ MAX_SAMPLES = 1_000_000
 _K = SQRT2 + 1.0
 _K2 = _K * _K
 _C_RL = 2.0 * (SQRT2 - 1.0)
-# read as module globals (see core._POLYNOMIAL)
+# read as module globals (see solver._CORRECTED)
 _RL, _STARLIKE = Family.RATIONAL_RL, Family.STARLIKE_ORDER
 
 
@@ -376,8 +376,8 @@ def containment_threshold(t: TargetSpec, c: float) -> float:
     overstate the largest disk that fits, except for RL, whose threshold is
     0 from sqrt2 on: that center is the node of the lemniscate or lies
     outside its left loop."""
-    if c < 1.0:
-        raise ParameterError(f"center c={c!r} below 1")
+    if not c >= 1.0:  # a NaN center too
+        raise ParameterError(f"center c={c!r} is not at least 1")
     if t.family is _RL:  # the one threshold not affine in c
         if c >= SQRT2:
             return 0.0

@@ -7,15 +7,82 @@ from typing import (Callable, Iterable, List, NamedTuple, Optional, Sequence,
                     Tuple)
 
 from . import bounds, regions
-from .core import (_INF, _SLACK, ClassId, ClassSpec, Family, NoRootError,
-                   ParameterError, RadiusCondition, RadiusResult, TargetSpec,
-                   UnsupportedCombinationError, Variant, _Proof, default_target)
+from .core import (ClassId, ClassSpec, Family, NoRootError, ParameterError,
+                   RadiusCondition, RadiusResult, TargetSpec,
+                   UnsupportedCombinationError, Variant, default_target)
 
 _SCAN_STEP, _SCAN_END = 1e-3, 1000  # the grid: k * _SCAN_STEP, 0 < k < _SCAN_END
 _U = 2.0 ** -53  # the unit roundoff of a double
+# Horner's rule on a quartic errs by at most gamma_8 * sum |c_i| on [0, 1]
+# (Higham, Accuracy and Stability of Numerical Algorithms, 5.1), the Bernstein
+# coefficients by gamma_10 * sum |c_i|: 2 ** -47 bounds both, 2 ** -1070 underflow.
+_HORNER_ERR = 2.0 ** -47
+_SLACK = 1.0 + 2.0 ** -40  # raises a bound computed in floats over its rounding
+_INF = float("inf")
 DEFAULT_TOL = 1e-12
-# Members compared on every cell, read as module globals (see core._POLYNOMIAL).
+# Members compared on every cell are read as module globals: on Python 3.11
+# EnumType has a __getattr__, which keeps a read such as Variant.PRINTED off
+# the interpreter's fast attribute path (about 100 ns against 15 ns).
 _CORRECTED, _PRINTED_PROOF = Variant.CENTER_CORRECTED, Variant.PRINTED_PROOF
+
+
+class _Proof:
+    """What is proven of h, one instance for each kind of evaluator. The
+    solver asks negative_to(cond, x): is float h negative at every point
+    of the 1e-3 grid in [0, x]? And step_bound(cond, lo, hi): the rounding
+    bound (E, rho) of the step, which _root_window takes. This is the empty
+    proof: it proves nothing, so the grid is walked and every midpoint
+    evaluated. _QuarticProof and _RLProof prove more; _proof_of picks one."""
+
+    def negative_to(self, cond, x: float) -> bool:
+        return False
+
+    def step_bound(self, cond, lo: float, hi: float) -> Tuple[float, float]:
+        return _INF, _INF
+
+
+_NO_PROOF = _Proof()
+
+
+def _horner_error(c: Tuple[float, ...]) -> float:
+    """Bound on the rounding error of Horner's rule, and of the Bernstein
+    coefficients, on the quartic of coefficients c anywhere on [0, 1];
+    inf where a coefficient is NaN or infinite, or so large that a partial
+    sum could overflow, so that no check passes."""
+    s = abs(c[0]) + abs(c[1]) + abs(c[2]) + abs(c[3]) + abs(c[4])
+    return _HORNER_ERR * s + 2.0 ** -1070 if s < 2.0 ** 1000 else _INF
+
+
+class _QuarticProof(_Proof):
+    """The proof of every polynomial condition, from its coefficients c and
+    err = _horner_error(c), infinite where a coefficient is NaN or infinite.
+    negative_to(cond, x), x <= 1: the Bernstein coefficients on [0, x] bound
+    h above and lie below -err, so Horner's rule is negative in floats on
+    all of [0, x]. step_bound: (err, 1), h being its own D = 1 and G, where
+    exact h' is proven positive on the step, else (inf, inf). The proof is
+    dmin > 0: dmin is h'(lo) by Horner, less 4 err, which bounds its
+    rounding, and less the step times a bound on |h''|."""
+
+    def negative_to(self, cond, x):
+        c0, c1, c2, c3, c4 = c = cond.coeffs
+        x2 = x * x
+        a1, a2, a3, a4 = c1 * x, c2 * x2, c3 * (x2 * x), c4 * (x2 * x2)
+        bound = -_horner_error(c)
+        return (c0 < bound and c0 + a1 / 4.0 < bound
+                and c0 + a1 / 2.0 + a2 / 6.0 < bound
+                and c0 + 0.75 * a1 + a2 / 2.0 + a3 / 4.0 < bound
+                and c0 + a1 + a2 + a3 + a4 < bound)
+
+    def step_bound(self, cond, lo, hi):
+        _, c1, c2, c3, c4 = c = cond.coeffs
+        err = _horner_error(c)
+        dmin = (((4.0 * c4 * lo + 3.0 * c3) * lo + 2.0 * c2) * lo + c1
+                - (4.0 * err + (2.0 * abs(c2) + 6.0 * abs(c3) + 12.0 * abs(c4))
+                   * (hi - lo)) * _SLACK)
+        return (err, 1.0) if dmin > 0.0 else (_INF, _INF)
+
+
+_QUARTIC_PROOF = _QuarticProof()
 
 
 def _rl_evaluator(spec: ClassSpec, t: TargetSpec, center_of: Optional[Callable]):
@@ -25,7 +92,7 @@ def _rl_evaluator(spec: ClassSpec, t: TargetSpec, center_of: Optional[Callable])
     increasing on [0, 1): the disk radius grows with r, the threshold falls
     as the center grows from 1 to sqrt2, and from sqrt2 on it is 0. So h
     changes sign once, and its float signs on the grid too, as _RLProof
-    states: h carries it as h.proof, which its condition takes."""
+    states: h carries it as h.proof, where _proof_of finds it."""
     disk_at = bounds.disk_map(spec)
 
     def h(r):
@@ -40,13 +107,13 @@ def _rl_evaluator(spec: ClassSpec, t: TargetSpec, center_of: Optional[Callable])
 
 class _RLProof(_Proof):
     """The proof of the RL condition, set on _rl_evaluator's evaluator
-    alone, which its condition takes it from, after _make and _replace too:
-    its grid signs change once, and step_bound is (E, rho) on the step
-    [lo, hi]: E bounds |fl(h)(x) - H(x)| at every float x of the step, and
-    rho bounds den_max / den_min there. H is exact h = N - T(c) D, with
-    N = radius * den and D = den exact, T the RL threshold, and the floats
-    m and SQRT2 taken as exact. E is inf where the center can reach sqrt2
-    on the step.
+    alone, where _proof_of finds it on any condition built with that
+    evaluator, after _make and _replace too: its grid signs change once,
+    and step_bound is (E, rho) on the step [lo, hi]: E bounds
+    |fl(h)(x) - H(x)| at every float x of the step, and rho bounds
+    den_max / den_min there. H is exact h = N - T(c) D, with N = radius *
+    den and D = den exact, T the RL threshold, and the floats m and SQRT2
+    taken as exact. E is inf where the center can reach sqrt2 on the step.
 
     With u = 2^-53, Higham's standard model, a correctly rounded sqrt and
     pow within one ulp (2u), and magnitudes bounded at the step's ends:
@@ -84,6 +151,15 @@ class _RLProof(_Proof):
 
 
 _RL_PROOF = _RLProof()
+
+
+def _proof_of(cond: RadiusCondition) -> _Proof:
+    """What is proven of cond's h: the quartic proof for coefficients, else
+    the proof its evaluator carries (_RL_PROOF on _rl_evaluator's), else
+    the empty proof."""
+    if cond.coeffs is not None:
+        return _QUARTIC_PROOF
+    return getattr(cond.evaluator, "proof", _NO_PROOF)
 
 
 def _reading(class_id: ClassId, fd: regions.FamilyDef,
@@ -207,13 +283,11 @@ def smallest_root_in_01(cond: RadiusCondition,
                         tol: float = DEFAULT_TOL) -> RadiusResult:
     """Locate the least r in (0, 1) with h(r) = 0: the first point of the
     1e-3 grid where h is not negative (_first_nonnegative), then bisection
-    of the step before it to width <= tol. It asks cond.proof, not cond's
-    kind, what is proven of h (core._QuarticProof for coefficients, else
-    the evaluator's own, _RLProof on _rl_evaluator's, or the empty
-    core._Proof): where the grid search may skip the walk, and the step's
-    bound from which _root_window proves a root window (a, b). Bisection
-    evaluates h only at midpoints inside it, so its brackets are those of
-    evaluating every one.
+    of the step before it to width <= tol. It asks _proof_of(cond), not
+    cond's kind, what is proven of h: where the grid search may skip the
+    walk, and the step's bound from which _root_window proves a root window
+    (a, b). Bisection evaluates h only at midpoints inside it, so its
+    brackets are those of evaluating every one.
     A NaN value of h is neither negative nor a sign change: it raises
     NoRootError. Every evaluation goes through cond.__call__, bound once
     here: that is cond's evaluator itself, with no frame around it, and
@@ -233,7 +307,7 @@ def smallest_root_in_01(cond: RadiusCondition,
             raise ParameterError(f"condition is nonnegative at r=0 (h(0)={h0!r})")
         raise _no_root(cond, "condition is NaN at r=0.0", h0)
 
-    proof = cond.proof
+    proof = _proof_of(cond)
     k, h_lo, h_hi = _first_nonnegative(f, h0, proof, cond)
     if k == _SCAN_END:
         raise _no_root(cond, "no sign change in (0, 1)", h0)

@@ -452,6 +452,13 @@ def test_threshold_rejects_center_below_one():
         containment_threshold(default_target(Family.CARDIOID), 0.999)
 
 
+def test_threshold_rejects_nan_center():
+    # NaN is not below 1, but it is no center either: every family refuses it
+    for t in ALL_TARGETS:
+        with pytest.raises(ParameterError):
+            containment_threshold(t, math.nan)
+
+
 def test_threshold_exact_values():
     assert containment_threshold(
         TargetSpec(Family.STARLIKE_ORDER, alpha=0.25), 1.0) == 0.75

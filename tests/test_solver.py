@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from radstar import bounds, core, regions, solver
+from radstar import bounds, regions, solver
 from radstar.core import (CLASSES, ClassId, ConditionKind, DomainError,
                           Family, NoRootError, ParameterError, RadiusCondition,
                           TargetSpec, UnsupportedCombinationError, Variant,
@@ -258,16 +258,16 @@ def _library_conditions(families):
 
 def _certified(coeffs, x):
     cond = _poly_condition(coeffs)
-    return cond.proof.negative_to(cond, x)
+    return solver._proof_of(cond).negative_to(cond, x)
 
 
 def _quartic_window(cond, lo, hi):
-    bound = cond.proof.step_bound(cond, lo, hi)
+    bound = solver._proof_of(cond).step_bound(cond, lo, hi)
     return solver._root_window(cond, lo, hi, cond(lo), cond(hi), *bound)
 
 
 def _rl_window(cond, lo, hi, h_lo, h_hi):
-    # the RL proof's bound, also on a condition that does not carry it
+    # the RL proof's bound, also on a condition whose evaluator lacks it
     return solver._root_window(cond, lo, hi, h_lo, h_hi,
                                *solver._RL_PROOF.step_bound(cond, lo, hi))
 
@@ -282,7 +282,7 @@ def test_library_quartics_certified_at_scan_step():
     for cell, cond in _library_conditions(polynomial):
         k = first_stop(cond)
         assert k is not None, cell
-        assert cond.proof is core._QUARTIC_PROOF, cell
+        assert solver._proof_of(cond) is solver._QUARTIC_PROOF, cell
         assert _certified(cond.coeffs, (k - 1) * SCAN_STEP), cell
         n += 1
     assert n == 2 * 41 * 15 + 41 * 2  # g1 nephroid has two more readings
@@ -294,8 +294,8 @@ def test_rl_signs_monotone_on_grid():
     # both classes and both centers
     n = 0
     for cell, cond in _library_conditions({Family.RATIONAL_RL}):
-        assert cond.proof is solver._RL_PROOF, cell
-        assert cond.proof.negative_to(cond, 0.999), cell
+        assert solver._proof_of(cond) is solver._RL_PROOF, cell
+        assert solver._proof_of(cond).negative_to(cond, 0.999), cell
         negative = [cond(k * SCAN_STEP) < 0.0 for k in range(1, 1000)]
         assert negative == sorted(negative, reverse=True), cell
         assert negative[0] and not negative[-1], cell
@@ -335,7 +335,7 @@ def test_library_quartics_root_window_proven():
         k = first_stop(cond)
         lo, hi = (k - 1) * SCAN_STEP, k * SCAN_STEP
         a, b = _quartic_window(cond, lo, hi)
-        err = Fraction(cond.proof.step_bound(cond, lo, hi)[0])
+        err = Fraction(solver._proof_of(cond).step_bound(cond, lo, hi)[0])
         assert lo <= a < b <= hi and b - a < hi - lo, cell
         assert a == lo or _exact(cond.coeffs, a) < -err, cell
         assert b == hi or _exact(cond.coeffs, b) > err, cell
@@ -511,7 +511,7 @@ def test_library_rl_root_window_proven():
             k = first_stop(cond)
             lo, hi = (k - 1) * SCAN_STEP, k * SCAN_STEP
             a, b = _rl_window(cond, lo, hi, cond(lo), cond(hi))
-            err = cond.proof.step_bound(cond, lo, hi)[0]
+            err = solver._proof_of(cond).step_bound(cond, lo, hi)[0]
             assert lo <= a < b <= hi and b - a < hi - lo, (class_id, mag, policy)
             xs = np.linspace(lo, hi, 17).tolist() + [a, b, 0.5 * (a + b)]
             for x in xs:
@@ -535,7 +535,7 @@ def test_rl_step_bound_rho_bounds_the_disk_denominator():
             {Family.RATIONAL_RL}):
         k = first_stop(cond)
         lo, hi = (k - 1) * SCAN_STEP, k * SCAN_STEP
-        rho = cond.proof.step_bound(cond, lo, hi)[1]
+        rho = solver._proof_of(cond).step_bound(cond, lo, hi)[1]
         disk_at = bounds.disk_map(class_from_coeff_mag(class_id, mag))
         dens = [disk_at(x)[2] for x in np.linspace(lo, hi, 201).tolist()]
         ratio = max(dens) / min(dens)
@@ -559,9 +559,9 @@ def test_rl_root_window_refused():
     assert _rl_window(nan_inside, lo, hi, -1.0, 1.0) == (lo, hi)
     # (1 + r^2)/(1 - r^2) reaches sqrt2 at r = sqrt2 - 1 = 0.41421...
     for lo, hi in ((0.414, 0.415), (0.5, 0.501), (0.998, 0.999)):
-        assert cond.proof.step_bound(cond, lo, hi)[0] == math.inf
+        assert solver._proof_of(cond).step_bound(cond, lo, hi)[0] == math.inf
         assert _rl_window(cond, lo, hi, -1.0, 1.0) == (lo, hi)
-    assert cond.proof.step_bound(cond, 0.413, 0.414)[0] < math.inf
+    assert solver._proof_of(cond).step_bound(cond, 0.413, 0.414)[0] < math.inf
 
 
 def test_rl_root_window_only_for_the_rl_evaluator():
@@ -577,12 +577,13 @@ def test_rl_root_window_only_for_the_rl_evaluator():
     res = smallest_root_in_01(cond)
     assert res.bracket == (0.299999499999918, 0.2999995000008493)
     assert _outcome(smallest_root_in_01, cond) == _outcome(scan_smallest_root, cond)
-    assert cond.proof is core._NO_PROOF
-    assert not cond.proof.negative_to(cond, 0.001)
-    assert cond.proof.step_bound(cond, 0.299, 0.3) == (math.inf, math.inf)
+    assert solver._proof_of(cond) is solver._NO_PROOF
+    assert not solver._proof_of(cond).negative_to(cond, 0.001)
+    assert (solver._proof_of(cond).step_bound(cond, 0.299, 0.3)
+            == (math.inf, math.inf))
     rl = assemble_condition(make_class(ClassId.G1, -1.0),
                             default_target(Family.RATIONAL_RL))
-    assert rl.proof is solver._RL_PROOF
+    assert solver._proof_of(rl) is solver._RL_PROOF
 
 
 def test_rl_cell_h_evaluations(monkeypatch):
@@ -627,11 +628,31 @@ def test_rebuilt_rl_condition_keeps_its_proof(monkeypatch, b):
     outcomes = []
     for c in (cond, cond._replace(extrapolation=True),
               RadiusCondition._make(cond)):
-        assert c.proof is solver._RL_PROOF
+        assert solver._proof_of(c) is solver._RL_PROOF
         calls.clear()
         outcomes.append((smallest_root_in_01(c).bracket, len(calls)))
     assert outcomes[0] == outcomes[1] == outcomes[2]
     assert outcomes[0][1] <= 18
+
+
+def test_the_solver_derives_each_proof():
+    # a condition holds its four fields and its evaluator _h, no proof; the
+    # solver derives the quartic proof from coefficients and the RL proof
+    # from _rl_evaluator's evaluator, also after _replace and _make, and an
+    # evaluator that carries no proof has the empty one
+    n = 0
+    for cell, cond in _library_conditions(set(Family)):
+        proof = (solver._RL_PROOF if cell[2].family is Family.RATIONAL_RL
+                 else solver._QUARTIC_PROOF)
+        for c in (cond, cond._replace(extrapolation=True),
+                  RadiusCondition._make(cond)):
+            assert vars(c).keys() == {"_h"}, cell
+            assert solver._proof_of(c) is proof, cell
+        n += 1
+    assert n == 2 * 41 * 15 + 41 * 2 + 41 * 3
+    bare = RadiusCondition(Variant.CENTER_CORRECTED, evaluator=lambda r: r - 0.5)
+    assert vars(bare).keys() == {"_h"}
+    assert solver._proof_of(bare) is solver._NO_PROOF
 
 
 def test_patched_call_sees_every_evaluation(monkeypatch):

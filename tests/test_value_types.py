@@ -6,7 +6,7 @@ from types import MappingProxyType
 
 import pytest
 
-from radstar import core, solver
+from radstar import solver
 from radstar.core import (ClassDef, ClassId, ClassSpec, ConditionKind, DiskSpec,
                           Family, ParameterError, RadiusCondition, RadiusResult,
                           TargetSpec, Variant, default_target, make_class)
@@ -133,14 +133,14 @@ def test_condition_takes_its_proof_from_its_evaluator():
 
     g_proven.proof = solver._RL_PROOF
     c = RadiusCondition(Variant.CENTER_CORRECTED, evaluator=_evaluator)
-    assert c.proof is core._NO_PROOF
-    assert c._replace(evaluator=g).proof is core._NO_PROOF
+    assert solver._proof_of(c) is solver._NO_PROOF
+    assert solver._proof_of(c._replace(evaluator=g)) is solver._NO_PROOF
     moved = c._replace(evaluator=g_proven)
-    assert moved.proof is solver._RL_PROOF and moved(0.5) == 0.25
-    assert RadiusCondition._make(moved).proof is solver._RL_PROOF
-    assert moved._replace(evaluator=g).proof is core._NO_PROOF
+    assert solver._proof_of(moved) is solver._RL_PROOF and moved(0.5) == 0.25
+    assert solver._proof_of(RadiusCondition._make(moved)) is solver._RL_PROOF
+    assert solver._proof_of(moved._replace(evaluator=g)) is solver._NO_PROOF
     quartic = c._replace(evaluator=None, coeffs=(-1.0, 2.0))
-    assert quartic.proof is core._QUARTIC_PROOF
+    assert solver._proof_of(quartic) is solver._QUARTIC_PROOF
     assert quartic.kind is ConditionKind.POLYNOMIAL
 
 
@@ -168,17 +168,18 @@ def test_replace_builds_through_new():
     # binds its h again, and a replaced target checks its order parameters.
     # A replaced quartic derives the quartic proof from its coefficients; a
     # replaced RL condition keeps the RL proof, which its evaluator carries
-    for family, proof in ((Family.CARDIOID, core._QUARTIC_PROOF),
+    for family, proof in ((Family.CARDIOID, solver._QUARTIC_PROOF),
                           (Family.RATIONAL_RL, solver._RL_PROOF)):
         cond = assemble_condition(make_class(ClassId.G1, -0.7),
                                   default_target(family))
         moved = cond._replace(extrapolation=True)
         assert moved.extrapolation and moved(0.2) == cond(0.2)
         assert RadiusCondition._make(cond)(0.2) == cond(0.2)
-        assert moved.proof is RadiusCondition._make(cond).proof is proof
+        assert (solver._proof_of(moved)
+                is solver._proof_of(RadiusCondition._make(cond)) is proof)
         assert (smallest_root_in_01(moved)
                 == smallest_root_in_01(cond)._replace(extrapolation=True))
-    assert cond.proof is solver._RL_PROOF
+    assert solver._proof_of(cond) is solver._RL_PROOF
     t = TargetSpec(Family.STARLIKE_ORDER, alpha=0.2)
     assert t._replace(alpha=0.5) == TargetSpec(Family.STARLIKE_ORDER, alpha=0.5)
     with pytest.raises(ParameterError):
