@@ -77,27 +77,30 @@ class ConditionKind(_IdentityEnum):
 
 class ClassDef(NamedTuple):
     """Every per-class fact: the slope of the coefficient 1 + slope * b,
-    whose magnitude is all a radius depends on, the interval [b_lo, b_hi]
-    of b on which the radius conditions hold, and the power e, in which
-    every per-class formula is written once: (1 + z)^e f(z)/z has positive
-    real part. A field, as it is read once per cell."""
+    whose magnitude is all a radius depends on, and the power e, a field as
+    it is read once per cell, in which every per-class formula is written
+    once: (1 + z)^e f(z)/z has positive real part. Its first coefficient
+    e (1 + slope * b) is at most 2 in magnitude (Caratheodory), which fixes
+    the largest magnitude max_mag = 2 / e and the interval [b_lo, b_hi]."""
 
     slope: int
-    b_lo: float
-    b_hi: float
     power: float
 
     @property
     def max_mag(self) -> float:
-        """Largest coefficient magnitude on the interval."""
-        return max(abs(1 + self.slope * self.b_lo), abs(1 + self.slope * self.b_hi))
+        return 2.0 / self.power
+
+    @property
+    def b_lo(self) -> float:
+        return (-1.0 - self.max_mag) / self.slope
+
+    @property
+    def b_hi(self) -> float:
+        return (-1.0 + self.max_mag) / self.slope
 
 
 # g1: (1+z)^2 f/z has positive real part, a2 = 4b; g2: (1+z) f/z, a2 = 3b.
-# Its first coefficient e (1 + slope * b) is at most 2 in magnitude
-# (Caratheodory), which fixes the interval: power * max_mag = 2.
-CLASSES = {ClassId.G1: ClassDef(2, -1.0, 0.0, 2.0),
-           ClassId.G2: ClassDef(3, -1.0, 1.0 / 3.0, 1.0)}
+CLASSES = {ClassId.G1: ClassDef(2, 2.0), ClassId.G2: ClassDef(3, 1.0)}
 
 
 def coefficient(class_id: ClassId, b):

@@ -21,12 +21,24 @@ _SHARP_TOL = 1e-6
 
 
 class ScanReport(NamedTuple):
-    inside_pass: bool
+    """The containment scans of a radius: the first sampled point of the
+    disk bound at r_inside, just inside rho, and at r_outside, just beyond
+    it, that leaves the exact region, None where none does. inside_pass,
+    outside_pass and passed are derived: the inside scan passes where it
+    finds no such point, the just-outside scan where it finds one."""
+
     inside_witness: Optional[complex]
-    outside_pass: bool
     outside_witness: Optional[complex]
     r_inside: float
     r_outside: float
+
+    @property
+    def inside_pass(self) -> bool:
+        return self.inside_witness is None
+
+    @property
+    def outside_pass(self) -> bool:
+        return self.outside_witness is not None
 
     @property
     def passed(self) -> bool:
@@ -34,13 +46,27 @@ class ScanReport(NamedTuple):
 
 
 class SharpnessReport(NamedTuple):
-    applicable: bool
+    """A boundary-contact check: the witness (extremal), the point it is
+    evaluated at, and the contact functional's value there and on the
+    boundary; SharpnessReport(), all None, where the check does not apply.
+    Derived: applicable, where a witness is named, and ok, None where not
+    applicable, else whether value lies within tol of target_value."""
+
     extremal: Optional[str] = None
     point: Optional[float] = None
     value: Optional[float] = None
     target_value: Optional[float] = None
-    ok: Optional[bool] = None
-    tol: Optional[float] = None
+
+    tol = _SHARP_TOL
+
+    @property
+    def applicable(self) -> bool:
+        return self.extremal is not None
+
+    @property
+    def ok(self) -> Optional[bool]:
+        return (None if self.extremal is None
+                else abs(self.value - self.target_value) <= self.tol)
 
 
 class VerificationReport(NamedTuple):
@@ -74,14 +100,9 @@ def containment_scan(spec: ClassSpec, t: TargetSpec, rho: float,
         ((d1.center, d1.radius), (d2.center, d2.radius)), n)
     mask = regions.membership_mask(t, pts)
     mask1, mask2 = mask[:n], mask[n:]
-    inside_pass = bool(mask1.all())
-    inside_witness = None if inside_pass else complex(pts[mask1.argmin()])
-    outside_pass = not mask2.all()
-    outside_witness = complex(pts[n + mask2.argmin()]) if outside_pass else None
-
-    return ScanReport(inside_pass=inside_pass, inside_witness=inside_witness,
-                      outside_pass=outside_pass, outside_witness=outside_witness,
-                      r_inside=r1, r_outside=r2)
+    inside_witness = None if mask1.all() else complex(pts[mask1.argmin()])
+    outside_witness = None if mask2.all() else complex(pts[n + mask2.argmin()])
+    return ScanReport(inside_witness, outside_witness, r1, r2)
 
 
 # ---------------------------------------------------------------------------
@@ -94,21 +115,20 @@ def sharpness_check(spec: ClassSpec, t: TargetSpec, rho: float) -> SharpnessRepo
     reached at z = +rho, where q > 0; the right end c + R (p at q = -1),
     reached at z = -rho, where q < 0. Not applicable where the family has
     no contact functional, its condition is not stated for the class, or
-    the class has no witness for that end."""
+    the class has no witness for that end. Refuses rho outside (0, 1)."""
+    if not (0.0 < rho < 1.0):
+        raise ParameterError(f"rho={rho!r} outside (0, 1)")
     fd = regions.FAMILIES[t.family]
     if fd.contact is None or not fd.stated(spec.class_id, t):
-        return SharpnessReport(applicable=False)
+        return SharpnessReport()
     sign = 1 if fd.threshold(t)[1] > 0.0 else -1
     eid = WITNESSES.get((spec.class_id, sign))
     if eid is None:
-        return SharpnessReport(applicable=False)
+        return SharpnessReport()
     z = sign * rho
     v = log_deriv(eid, spec.b, z)
     value, target_value = fd.contact(t, v)
-    return SharpnessReport(applicable=True, extremal=eid.value, point=z,
-                           value=value, target_value=target_value,
-                           ok=abs(value - target_value) <= _SHARP_TOL,
-                           tol=_SHARP_TOL)
+    return SharpnessReport(eid.value, z, value, target_value)
 
 
 def _report(spec: ClassSpec, t: TargetSpec, res: RadiusResult,

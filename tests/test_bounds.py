@@ -8,8 +8,8 @@ import pytest
 from herglotz_oracle import herglotz_logderiv_bound
 from radstar import regions, solver
 from radstar.bounds import disk, disk_map, quartic
-from radstar.core import (CLASSES, ClassId, DomainError, class_from_coeff_mag,
-                          make_class)
+from radstar.core import (CLASSES, ClassId, DomainError, ParameterError,
+                          class_from_coeff_mag, coefficient, make_class)
 
 
 def test_herglotz_bound_zero_at_origin():
@@ -194,3 +194,22 @@ def test_power_times_max_mag_is_two():
     for class_id, cd in CLASSES.items():
         assert cd.power * cd.max_mag == 2.0, class_id
         assert cd.power * cd.slope == {ClassId.G1: 4, ClassId.G2: 3}[class_id]
+    # the derived ends and magnitude, bit for bit; coefficient takes both
+    # ends and refuses the next float past each
+    for class_id, (b_lo, b_hi, max_mag), text in (
+            (ClassId.G1, (-1.0, 0.0, 1.0), "[-1.0, 0.0]"),
+            (ClassId.G2, (-1.0, 0.3333333333333333, 2.0),
+             "[-1.0, 0.3333333333333333]")):
+        cd = CLASSES[class_id]
+        got = (cd.b_lo, cd.b_hi, cd.max_mag)
+        assert got == (b_lo, b_hi, max_mag)
+        assert repr(got) == repr((b_lo, b_hi, max_mag))
+        assert abs(coefficient(class_id, b_lo)) == max_mag
+        assert coefficient(class_id, b_hi) == 1 + cd.slope * b_hi
+        for b in (math.nextafter(b_lo, -math.inf),
+                  math.nextafter(b_hi, math.inf)):
+            message = (f"b={b!r} outside admissible interval {text} "
+                       f"for {class_id.value}")
+            with pytest.raises(ParameterError) as err:
+                coefficient(class_id, b)
+            assert str(err.value) == message

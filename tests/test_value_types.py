@@ -1,6 +1,7 @@
 """The value types are named tuples: read-only fields, equality and hashing
 by value, and the Name(field=value, ...) repr."""
 
+import math
 import sys
 from types import MappingProxyType
 
@@ -31,14 +32,14 @@ def _evaluator(r):
 _SPEC = ClassSpec(ClassId.G1, -1.0, 1.0)
 _TARGET = TargetSpec(Family.STARLIKE_ORDER, alpha=0.25)
 _RESULT = RadiusResult(0.5, 0.0, (0.5, 0.5), Variant.CENTER_CORRECTED, 30)
-_SCAN = ScanReport(True, None, True, 1.5 + 0.5j, 0.49, 0.51)
-_SHARP = SharpnessReport(True, "F1", 0.5, 0.25, 0.25, True, 1e-6)
+_SCAN = ScanReport(None, 1.5 + 0.5j, 0.49, 0.51)
+_SHARP = SharpnessReport("F1", 0.5, 0.25, 0.25)
 _REPORT = VerificationReport(_SPEC, _TARGET, Variant.CENTER_CORRECTED, 0.5,
                              _SCAN, _SHARP)
 
 # (type, positional arguments, keyword arguments) for each value type
 CASES = [
-    (ClassDef, (2, -1.0, 0.0, 2.0), {}),
+    (ClassDef, (2, 2.0), {}),
     (ClassSpec, (ClassId.G1, -1.0, 1.0), {}),
     (TargetSpec, (Family.STARLIKE_ORDER,), {"alpha": 0.25}),
     (DiskSpec, (1.5, 0.5, 0.75), {}),
@@ -46,8 +47,8 @@ CASES = [
     (RadiusResult, (0.5, 0.0, (0.5, 0.5), Variant.CENTER_CORRECTED, 30), {}),
     (FamilyDef, (_mask, _threshold), {}),
     (TableCell, (_SPEC, _TARGET, Variant.CENTER_CORRECTED, _RESULT, None), {}),
-    (ScanReport, (True, None, True, 1.5 + 0.5j, 0.49, 0.51), {}),
-    (SharpnessReport, (False,), {}),
+    (ScanReport, (None, 1.5 + 0.5j, 0.49, 0.51), {}),
+    (SharpnessReport, (), {}),
     (VerificationReport, tuple(_REPORT), {}),
 ]
 
@@ -203,3 +204,45 @@ def test_reports_of_one_cell_compare_equal():
         t = TargetSpec(family)
         a, b = verify_cell(spec, t), verify_cell(spec, t)
         assert a == b and not a != b and hash(a) == hash(b)
+
+
+def test_stored_fields_are_measured_facts():
+    # each verdict and each derived interval is read from the fields, so no
+    # value that contradicts itself can be built
+    assert ScanReport._fields == ("inside_witness", "outside_witness",
+                                  "r_inside", "r_outside")
+    assert SharpnessReport._fields == ("extremal", "point", "value",
+                                       "target_value")
+    assert ClassDef._fields == ("slope", "power")
+
+
+@pytest.mark.parametrize("inside", [None, 0.5j])
+@pytest.mark.parametrize("outside", [None, 1.5 + 0.5j])
+def test_scan_verdicts_follow_from_the_witnesses(inside, outside):
+    rep = ScanReport(inside, outside, 0.49, 0.51)
+    assert rep.inside_pass is (inside is None)
+    assert rep.outside_pass is (outside is not None)
+    assert rep.passed is (inside is None and outside is not None)
+
+
+def test_sharpness_verdicts_follow_from_the_values():
+    tol = SharpnessReport.tol
+    assert tol == 1e-6 and "tol" not in SharpnessReport._fields
+    blank = SharpnessReport()
+    assert tuple(blank) == (None,) * 4
+    assert blank.applicable is False and blank.ok is None
+    for value, ok in ((0.0, True), (tol, True), (-tol, True),
+                      (math.nextafter(tol, 1.0), False),
+                      (math.nextafter(-tol, -1.0), False),
+                      (math.nan, False)):
+        rep = SharpnessReport("f1", 0.5, value, 0.0)
+        assert rep.applicable is True and rep.ok is ok, value
+    with pytest.raises(AttributeError):
+        blank.tol = 1.0
+
+
+def test_class_interval_follows_from_the_power():
+    for cd in (ClassDef(2, 2.0), ClassDef(3, 1.0), ClassDef(5, 0.5)):
+        assert cd.max_mag == 2.0 / cd.power
+        assert cd.b_lo == (-1.0 - cd.max_mag) / cd.slope
+        assert cd.b_hi == (-1.0 + cd.max_mag) / cd.slope

@@ -71,8 +71,8 @@ def _two_pass_scan(spec, t, rho, n):
         passes.append((bool(mask.all()), complex(pts[mask.argmin()])))
     (all_in1, w1), (all_in2, w2) = passes
     return verify.ScanReport(
-        inside_pass=all_in1, inside_witness=None if all_in1 else w1,
-        outside_pass=not all_in2, outside_witness=None if all_in2 else w2,
+        inside_witness=None if all_in1 else w1,
+        outside_witness=None if all_in2 else w2,
         r_inside=r1, r_outside=r2)
 
 
@@ -171,12 +171,25 @@ def test_sharpness_applicable_map():
             rep = sharpness_check(spec, t, 0.3)
             entry = _SHARP.get((t.family, class_id))
             if entry is None:
-                assert rep == SharpnessReport(False), (class_id, t.label())
+                assert rep == SharpnessReport(), (class_id, t.label())
                 continue
             assert rep.applicable, (class_id, t.label())
             assert (rep.extremal, math.copysign(1.0, rep.point)) == entry, \
                 (class_id, t.label())
             assert abs(rep.point) == 0.3
+
+
+@pytest.mark.parametrize("rho", [1.0, math.nan, 0.0, -0.3, 2.0, math.inf])
+def test_sharpness_validates_rho(rho):
+    # refused before anything else, as the scan does: also where the check
+    # does not apply, and where evaluating the witness at rho = 1 would hit
+    # its pole
+    for class_id, family in ((ClassId.G1, Family.CARDIOID),
+                             (ClassId.G1, Family.LUNE),
+                             (ClassId.G2, Family.SINE)):
+        spec = make_class(class_id, -1.0)
+        with pytest.raises(ParameterError, match=r"outside \(0, 1\)"):
+            sharpness_check(spec, default_target(family), rho)
 
 
 def test_sharpness_contact_at_extreme_b():
