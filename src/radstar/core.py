@@ -268,12 +268,21 @@ def _horner(coeffs: Tuple[float, ...]) -> Callable[[float], float]:
 
 
 class RadiusResult(NamedTuple):
-    rho: float
+    """A solved radius: the residual |h(rho)|, the final bracket (lo, hi),
+    the reading solved, the bisection steps and whether the condition is an
+    extrapolation. rho is derived, the bracket's midpoint 0.5 * (lo + hi),
+    so no result can hold a radius outside its own bracket."""
+
     residual: float
     bracket: Tuple[float, float]
     variant: Variant
     iterations: int
     extrapolation: bool = False
+
+    @property
+    def rho(self) -> float:
+        lo, hi = self.bracket
+        return 0.5 * (lo + hi)
 
 
 def default_target(family: Family, alpha: float = 0.0,

@@ -23,6 +23,8 @@ _TRUNC = 4.0
 
 # Largest sample count region_boundary and the containment scan accept.
 MAX_SAMPLES = 1_000_000
+# Samples of each circle the containment scan builds and masks at once.
+SCAN_BLOCK = 2**16
 
 
 _K = SQRT2 + 1.0
@@ -77,7 +79,7 @@ def _log_disk(u):
     log|u| = -inf, is outside."""
     with np.errstate(divide="ignore"):
         m = np.log(np.abs(u))
-    a = np.angle(u)
+    a = np.arctan2(u.imag, u.real)  # np.angle(u), without its Python frame
     return m * m + a * a < 1.0
 
 
@@ -172,24 +174,25 @@ def _anchored_circle(theta: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=1)
-def _unit_circle(n: int) -> np.ndarray:
-    """n equally spaced unit-circle samples from +1, read-only; the circle
-    of the last sample count only, so a scan of 10**6 samples keeps no more
-    than its own 16 MB array."""
-    u = np.exp(1j * (2.0 * math.pi * np.arange(n) / n))
+def _unit_circle(n: int, k0: int, k1: int) -> np.ndarray:
+    """Samples k0 <= k < k1 of n equally spaced unit-circle samples from +1,
+    read-only, each the same float as in the whole circle; the last block
+    only is kept, so a scan of 10**6 samples holds one block of SCAN_BLOCK."""
+    u = np.exp(1j * (2.0 * math.pi * np.arange(k0, k1) / n))
     u.setflags(write=False)
     return u
 
 
-def circle_points(circles, n: int) -> np.ndarray:
-    """n samples of each circle |w - center| = radius of circles, a sequence
-    of (center, radius), one circle after another in one array; each sample
-    is center + radius * u, u from _unit_circle(n), the first at
-    center + radius."""
-    u = _unit_circle(n)
-    pts = np.empty(len(circles) * n, dtype=complex)
+def circle_points(circles, n: int, k0: int, k1: int) -> np.ndarray:
+    """Samples k0 <= k < k1 of n of each circle |w - center| = radius of
+    circles, a sequence of (center, radius), one circle after another in
+    one array; each sample is center + radius * u, u from
+    _unit_circle(n, k0, k1), sample 0 at center + radius."""
+    u = _unit_circle(n, k0, k1)
+    m = k1 - k0
+    pts = np.empty(len(circles) * m, dtype=complex)
     for k, (center, radius) in enumerate(circles):
-        part = pts[k * n:(k + 1) * n]
+        part = pts[k * m:(k + 1) * m]
         np.multiply(radius, u, out=part)
         np.add(center, part, out=part)
     return pts
@@ -319,7 +322,9 @@ FAMILIES: Dict[Family, FamilyDef] = {
         threshold=None,
         readings={ClassId.G1: {Variant.PRINTED: lambda r: 1.0 / (1.0 - r * r)}}),
     Family.STRONGLY_STARLIKE: FamilyDef(
-        mask=lambda t, w: (w != 0.0) & (np.abs(np.angle(w)) < 0.5 * math.pi * t.gamma),
+        mask=lambda t, w: ((w != 0.0)
+                           & (np.abs(np.arctan2(w.imag, w.real))
+                              < 0.5 * math.pi * t.gamma)),
         boundary=lambda t, n: _sector_boundary(t.gamma, n),
         threshold=lambda t: (0.0, math.sin(0.5 * math.pi * t.gamma))),
     Family.NEPHROID: FamilyDef(

@@ -333,8 +333,8 @@ def smallest_root_in_01(cond: RadiusCondition,
             else:
                 raise _no_root(cond, f"condition is NaN at r={mid!r}", h0)
         iterations += 1
-    rho = 0.5 * (lo + hi)
-    return tuple.__new__(RadiusResult, (rho, abs(f(rho)), (lo, hi),
+    # rho, the bracket's midpoint, as RadiusResult.rho derives it
+    return tuple.__new__(RadiusResult, (abs(f(0.5 * (lo + hi))), (lo, hi),
                                         cond.variant, iterations,
                                         cond.extrapolation))
 

@@ -70,12 +70,24 @@ class SharpnessReport(NamedTuple):
 
 
 class VerificationReport(NamedTuple):
+    """The checks of one cell's radius: the RadiusResult they checked and
+    the scan and sharpness reports of its rho. variant and rho_used are
+    derived from that result, so a report holds no reading or radius that
+    its result did not solve."""
+
     spec: ClassSpec
     target: TargetSpec
-    variant: Variant
-    rho_used: float
+    result: RadiusResult
     scan: ScanReport
     sharpness: SharpnessReport
+
+    @property
+    def variant(self) -> Variant:
+        return self.result.variant
+
+    @property
+    def rho_used(self) -> float:
+        return self.result.rho
 
 
 def containment_scan(spec: ClassSpec, t: TargetSpec, rho: float,
@@ -89,20 +101,32 @@ def containment_scan(spec: ClassSpec, t: TargetSpec, rho: float,
         raise ParameterError(
             f"n_samples={n_samples} outside [64, {MAX_SAMPLES}]")
 
-    # both circles, just inside and just beyond rho, in one array of
-    # 2 * n_samples points and one mask call
+    # both circles, just inside and just beyond rho, block by block: each
+    # block is samples k0 <= k < k1 of both, in one array and one mask call
     r1 = 0.99 * rho
     r2 = min(1.02 * rho, 0.5 * (1.0 + rho))
     d1 = bounds.disk(spec, r1)
     d2 = bounds.disk(spec, r2)
-    n = n_samples
-    pts = regions.circle_points(
-        ((d1.center, d1.radius), (d2.center, d2.radius)), n)
-    mask = regions.membership_mask(t, pts)
-    mask1, mask2 = mask[:n], mask[n:]
-    inside_witness = None if mask1.all() else complex(pts[mask1.argmin()])
-    outside_witness = None if mask2.all() else complex(pts[n + mask2.argmin()])
-    return ScanReport(inside_witness, outside_witness, r1, r2)
+    circles = ((d1.center, d1.radius), (d2.center, d2.radius))
+    n, block = n_samples, regions.SCAN_BLOCK
+    inside = outside = None
+    for k0 in range(0, n, block):
+        k1 = min(k0 + block, n)
+        pts = regions.circle_points(circles, n, k0, k1)
+        mask = regions.membership_mask(t, pts)
+        i = mask.argmin()  # the block's first point outside the region
+        if mask[i]:
+            continue
+        m = k1 - k0
+        if i < m:  # on the inside circle: the escape is in the outside half
+            if inside is None:
+                inside = complex(pts[i])
+            i = m + mask[m:].argmin()
+        if outside is None and not mask[i]:
+            outside = complex(pts[i])
+        if inside is not None and outside is not None:
+            break
+    return ScanReport(inside, outside, r1, r2)
 
 
 # ---------------------------------------------------------------------------
@@ -133,10 +157,10 @@ def sharpness_check(spec: ClassSpec, t: TargetSpec, rho: float) -> SharpnessRepo
 
 def _report(spec: ClassSpec, t: TargetSpec, res: RadiusResult,
             n_samples: int) -> VerificationReport:
-    return VerificationReport(
-        spec=spec, target=t, variant=res.variant, rho_used=res.rho,
-        scan=containment_scan(spec, t, res.rho, n_samples),
-        sharpness=sharpness_check(spec, t, res.rho))
+    rho = res.rho
+    return VerificationReport(spec, t, res,
+                              containment_scan(spec, t, rho, n_samples),
+                              sharpness_check(spec, t, rho))
 
 
 def verify_cell(spec: ClassSpec, t: TargetSpec,

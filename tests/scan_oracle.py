@@ -67,6 +67,6 @@ def scan_smallest_root(cond: RadiusCondition, tol: float = 1e-12) -> RadiusResul
             raise _no_root(cond, f"condition is NaN at r={mid!r}", h0)
         iterations += 1
     rho = 0.5 * (lo + hi)
-    return RadiusResult(rho=rho, residual=abs(cond(rho)), bracket=(lo, hi),
+    return RadiusResult(residual=abs(cond(rho)), bracket=(lo, hi),
                         variant=cond.variant, iterations=iterations,
                         extrapolation=cond.extrapolation)

@@ -8,9 +8,10 @@ from types import MappingProxyType
 import pytest
 
 from radstar import solver
-from radstar.core import (ClassDef, ClassId, ClassSpec, ConditionKind, DiskSpec,
-                          Family, ParameterError, RadiusCondition, RadiusResult,
-                          TargetSpec, Variant, default_target, make_class)
+from radstar.core import (CLASSES, ClassDef, ClassId, ClassSpec, ConditionKind,
+                          DiskSpec, Family, ParameterError, RadiusCondition,
+                          RadiusResult, TargetSpec, Variant,
+                          class_from_coeff_mag, default_target, make_class)
 from radstar.regions import FamilyDef
 from radstar.solver import TableCell, assemble_condition, smallest_root_in_01
 from radstar.verify import (ScanReport, SharpnessReport, VerificationReport,
@@ -31,11 +32,10 @@ def _evaluator(r):
 
 _SPEC = ClassSpec(ClassId.G1, -1.0, 1.0)
 _TARGET = TargetSpec(Family.STARLIKE_ORDER, alpha=0.25)
-_RESULT = RadiusResult(0.5, 0.0, (0.5, 0.5), Variant.CENTER_CORRECTED, 30)
+_RESULT = RadiusResult(0.0, (0.5, 0.5), Variant.CENTER_CORRECTED, 30)
 _SCAN = ScanReport(None, 1.5 + 0.5j, 0.49, 0.51)
 _SHARP = SharpnessReport("F1", 0.5, 0.25, 0.25)
-_REPORT = VerificationReport(_SPEC, _TARGET, Variant.CENTER_CORRECTED, 0.5,
-                             _SCAN, _SHARP)
+_REPORT = VerificationReport(_SPEC, _TARGET, _RESULT, _SCAN, _SHARP)
 
 # (type, positional arguments, keyword arguments) for each value type
 CASES = [
@@ -44,7 +44,7 @@ CASES = [
     (TargetSpec, (Family.STARLIKE_ORDER,), {"alpha": 0.25}),
     (DiskSpec, (1.5, 0.5, 0.75), {}),
     (RadiusCondition, (Variant.CENTER_CORRECTED,), {"coeffs": (-1.0, 2.0)}),
-    (RadiusResult, (0.5, 0.0, (0.5, 0.5), Variant.CENTER_CORRECTED, 30), {}),
+    (RadiusResult, (0.0, (0.5, 0.5), Variant.CENTER_CORRECTED, 30), {}),
     (FamilyDef, (_mask, _threshold), {}),
     (TableCell, (_SPEC, _TARGET, Variant.CENTER_CORRECTED, _RESULT, None), {}),
     (ScanReport, (None, 1.5 + 0.5j, 0.49, 0.51), {}),
@@ -214,6 +214,36 @@ def test_stored_fields_are_measured_facts():
     assert SharpnessReport._fields == ("extremal", "point", "value",
                                        "target_value")
     assert ClassDef._fields == ("slope", "power")
+    assert RadiusResult._fields == ("residual", "bracket", "variant",
+                                    "iterations", "extrapolation")
+    assert VerificationReport._fields == ("spec", "target", "result", "scan",
+                                          "sharpness")
+
+
+def test_radius_and_report_readings_derive_from_the_result():
+    # on every cell of the 11-point standard grid, both classes, every
+    # target and policy: rho is the bracket's midpoint, bit for bit, and a
+    # report's variant and rho_used are those of the result it checked
+    cells = 0
+    for class_id in ClassId:
+        max_mag = CLASSES[class_id].max_mag
+        for k in range(11):
+            spec = class_from_coeff_mag(class_id, max_mag * k / 10)
+            for t in solver.supported_targets(class_id):
+                for policy in Variant:
+                    try:
+                        res = solver.compute_radius(spec, t, policy)
+                    except ParameterError:  # a reading the family lacks
+                        continue
+                    lo, hi = res.bracket
+                    assert res.rho.hex() == (0.5 * (lo + hi)).hex()
+                    assert lo <= res.rho <= hi
+                    cells += 1
+                rep = verify_cell(spec, t)
+                assert rep.result == solver.compute_radius(spec, t)
+                assert rep.variant is rep.result.variant
+                assert rep.rho_used.hex() == rep.result.rho.hex()
+    assert cells == 2 * 231 + 11  # printed-proof: the g1 nephroid only
 
 
 @pytest.mark.parametrize("inside", [None, 0.5j])

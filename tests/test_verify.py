@@ -6,7 +6,8 @@ import pytest
 
 from radstar import bounds, cli, regions, solver, verify
 from radstar.core import (CLASSES, ClassId, Family, ParameterError,
-                          TargetSpec, Variant, default_target, make_class)
+                          TargetSpec, Variant, class_from_coeff_mag,
+                          default_target, make_class)
 from radstar.verify import (SharpnessReport, adjudicate_variant,
                             containment_scan, sharpness_check, verify_cell)
 
@@ -64,8 +65,8 @@ def _two_pass_scan(spec, t, rho, n):
     passes = []
     for r in (r1, r2):
         d = bounds.disk(spec, r)
-        pts = regions.circle_points([(d.center, d.radius)], n)
-        u = regions._unit_circle(n)
+        pts = regions.circle_points([(d.center, d.radius)], n, 0, n)
+        u = regions._unit_circle(n, 0, n)
         assert pts.tobytes() == (d.center + d.radius * u).tobytes()
         mask = regions.membership_mask(t, pts)
         passes.append((bool(mask.all()), complex(pts[mask.argmin()])))
@@ -80,7 +81,10 @@ def _two_pass_scan(spec, t, rho, n):
 def test_one_pass_scan_matches_two_passes(n, monkeypatch):
     # every g1 target at 21 values of b, and with masks that fail every
     # point, pass every point and fail a scattered third, so both witness
-    # slices are read, at an odd n too
+    # slices are read, at an odd n too, in one block and in blocks of 16
+    # and 100 samples. A third by imaginary part fails sample 0 of both
+    # circles; a third of rings by modulus can fail the inside circle in a
+    # block where the outside one stays in, and again in a later block
     cases = [(make_class(ClassId.G1, b), t)
              for b in np.linspace(-1.0, 0.0, 21).tolist()
              for t in solver.supported_targets(ClassId.G1)]
@@ -88,14 +92,88 @@ def test_one_pass_scan_matches_two_passes(n, monkeypatch):
     masks = [regions.membership_mask,
              lambda t, ws: np.zeros(len(ws), dtype=bool),
              lambda t, ws: np.ones(len(ws), dtype=bool),
-             lambda t, ws: np.floor(np.asarray(ws).imag * 1e3) % 3 != 0]
+             lambda t, ws: np.floor(np.asarray(ws).imag * 1e3) % 3 != 0,
+             lambda t, ws: np.floor(np.abs(ws) * 3.0) % 3 != 0]
     for mask in masks:
         monkeypatch.setattr(regions, "membership_mask", mask)
         for spec, t, rho in cases:
-            one = containment_scan(spec, t, rho, n)
-            assert one == _two_pass_scan(spec, t, rho, n), (spec.b, t.label())
-            for w in (one.inside_witness, one.outside_witness):
-                assert w is None or isinstance(w, complex)
+            two = _two_pass_scan(spec, t, rho, n)
+            for block in (regions.SCAN_BLOCK, 16, 100):
+                with monkeypatch.context() as m:
+                    m.setattr(regions, "SCAN_BLOCK", block)
+                    one = containment_scan(spec, t, rho, n)
+                assert one == two, (spec.b, t.label(), block)
+                for w in (one.inside_witness, one.outside_witness):
+                    assert w is None or isinstance(w, complex)
+
+
+def _g1_library_cells():
+    # every g1 cell of the 11-point standard grid, with its radius
+    max_mag = CLASSES[ClassId.G1].max_mag
+    for k in range(11):
+        spec = class_from_coeff_mag(ClassId.G1, max_mag * k / 10)
+        for t in solver.supported_targets(ClassId.G1):
+            yield spec, t, solver.compute_radius(spec, t).rho
+
+
+def _first_failures(spec, t, r, n):
+    # the index of the first sample outside the region on each circle of
+    # the scan at r, from one mask call over the whole circles; None where
+    # every sample is inside
+    d1 = bounds.disk(spec, 0.99 * r)
+    d2 = bounds.disk(spec, min(1.02 * r, 0.5 * (1.0 + r)))
+    pts = regions.circle_points(
+        ((d1.center, d1.radius), (d2.center, d2.radius)), n, 0, n)
+    mask = regions.membership_mask(t, pts)
+    return tuple(None if half.all() else int(half.argmin())
+                 for half in (mask[:n], mask[n:]))
+
+
+@pytest.mark.parametrize("n", [64, 512, 513])
+def test_block_scan_matches_one_block(n, monkeypatch):
+    # the scan in blocks of 16, 64 and 100 samples finds the witnesses of
+    # one block on every g1 cell, below, at and beyond its radius; among
+    # them scans whose inside circle first fails in a later block than the
+    # one where the outside circle escapes, so the loop keeps that escape
+    # and goes on to the inside witness
+    cases = [(spec, t, r) for spec, t, rho in _g1_library_cells()
+             for r in (0.7 * rho, rho, min(1.2 * rho, 0.99))]
+    whole = [containment_scan(spec, t, r, n) for spec, t, r in cases]
+    assert regions.SCAN_BLOCK >= n
+    firsts = [_first_failures(spec, t, r, n) for spec, t, r in cases]
+    later_inside = 0
+    for block in (16, 64, 100):
+        monkeypatch.setattr(regions, "SCAN_BLOCK", block)
+        for (spec, t, r), one, (i_in, i_out) in zip(cases, whole, firsts):
+            assert containment_scan(spec, t, r, n) == one, (spec.b, t.label(), r)
+            later_inside += (i_in is not None and i_out is not None
+                             and i_in // block > i_out // block)
+    assert later_inside > 0
+
+
+def test_blocks_build_the_whole_circle():
+    # at n = 2**16 + 1 the default blocks are [0, 2**16) and [2**16, n):
+    # their points are those of the whole circle bit for bit, and their
+    # masks those of one mask call over it
+    n = regions.SCAN_BLOCK + 1
+    u = np.exp(1j * (2.0 * math.pi * np.arange(n) / n))
+    parts = [regions._unit_circle(n, k0, min(k0 + regions.SCAN_BLOCK, n))
+             for k0 in range(0, n, regions.SCAN_BLOCK)]
+    assert [len(p) for p in parts] == [regions.SCAN_BLOCK, 1]
+    assert np.concatenate(parts).tobytes() == u.tobytes()
+    spec = make_class(ClassId.G1, -1.0)
+    for t in solver.supported_targets(ClassId.G1):
+        d = bounds.disk(spec, solver.compute_radius(spec, t).rho)
+        circle = [(d.center, d.radius)]
+        pts = regions.circle_points(circle, n, 0, n)
+        assert pts.tobytes() == (d.center + d.radius * u).tobytes()
+        blocks = [regions.circle_points(circle, n, k0, k0 + len(p))
+                  for k0, p in zip((0, regions.SCAN_BLOCK), parts)]
+        assert np.concatenate(blocks).tobytes() == pts.tobytes()
+        mask = regions.membership_mask(t, pts)
+        assert np.array_equal(
+            np.concatenate([regions.membership_mask(t, b) for b in blocks]),
+            mask), t.label()
 
 
 def test_rl_threshold_exact_for_generator_image():
